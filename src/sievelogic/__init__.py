@@ -32,12 +32,7 @@ from .sieves import (
     coarsenings_of,
     compose,
     covering_pairs,
-    heyting_implies,
-    heyting_join,
-    heyting_meet,
-    heyting_neg,
     lattice_dot,
-    pullback,
     up_closure,
 )
 from .spectral import (

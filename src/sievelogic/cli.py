@@ -25,9 +25,10 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 import numpy as np
@@ -97,11 +98,20 @@ def _vector_out(v: np.ndarray) -> list:
     return [_num_out(z) for z in np.asarray(v).reshape(-1)]
 
 
-def _fmt(v: float) -> str:
+def _fmt(v: float, digits: int = 6) -> str:
     # %g trims relative float noise; snap absolute noise near zero too
     if abs(v) < 1e-12:
         v = 0.0
-    return f"{v:g}"
+    return f"{v:.{digits}g}"
+
+
+def _formatter(values) -> Callable[[float], str]:
+    """_fmt at %g's six significant digits, or at the fewest digits
+    beyond that which print the given eigenvalues pairwise apart."""
+    digits = 6
+    while digits < 17 and len({_fmt(v, digits) for v in values}) < len(values):
+        digits += 1
+    return partial(_fmt, digits=digits)
 
 
 # -- input loading ----------------------------------------------------
@@ -381,7 +391,8 @@ def parse_proposition(
 
 
 def _sieve_lines(sieve: Sieve, values) -> list[str]:
-    return [p.format(values, _fmt) for p in sieve]
+    fmt = _formatter(values)
+    return [p.format(values, fmt) for p in sieve]
 
 
 def _sieve_json(sieve: Sieve) -> dict:
@@ -582,7 +593,7 @@ def cmd_dot(system_file, operator_name, valuation, proposition, mode_flag, by_in
             if prop.operator is not op:
                 raise InputError("proposition must target the drawn operator")
             sieve = nu.evaluate(prop)
-        text = lattice_dot(op.k, mode, sieve=sieve, values=op.eigenvalues, fmt=_fmt)
+        text = lattice_dot(op.k, mode, sieve=sieve, values=op.eigenvalues, fmt=_formatter(op.eigenvalues))
     except SieveLogicError as e:
         _fail(e)
     click.echo(text, nl=False)

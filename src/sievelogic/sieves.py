@@ -7,6 +7,10 @@ they land in the same block.  A sieve collects partitions and is closed
 under further coarsening; sieves over one base form a Heyting algebra,
 which serves as the truth-value object of the valuation modules.
 
+A sieve is stored as an integer bitmask over the admissible partitions
+of its (k, mode), which are interned once in sorted order together with
+the up-set mask of each; lattice operations are bit operations.
+
 Two regimes are supported and must always be chosen explicitly:
 WITH_CONSTANTS admits the one-block partition (constant functions count
 as coarse-grainings), WITHOUT_CONSTANTS excludes it.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BaseMismatchError, InputError
 
@@ -172,6 +176,39 @@ def admissible_partitions(k: int, mode: Mode) -> frozenset[Partition]:
     return frozenset(parts)
 
 
+class _Lattice(NamedTuple):
+    """The admissible partitions of one (k, mode), interned: bit i of a
+    sieve mask stands for parts[i]."""
+
+    parts: tuple[Partition, ...]
+    index: dict[Partition, int]
+    full: int
+    one_block: int
+    up: tuple[int, ...]  # per partition, the mask of its admissible coarsenings, itself included
+
+
+@lru_cache(maxsize=None)
+def _lattice(k: int, mode: Mode) -> _Lattice:
+    parts = tuple(sorted(admissible_partitions(k, mode)))
+    index = {p: i for i, p in enumerate(parts)}
+    up = tuple(sum(1 << index[q] for q in coarsenings_of(p) if q in index) for p in parts)
+    top = index.get(Partition.one_block(k))
+    return _Lattice(parts, index, (1 << len(parts)) - 1, 0 if top is None else 1 << top, up)
+
+
+def _bits(mask: int):
+    """Positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _composite(fibers: Partition, order: Sequence[int], grouping: Partition) -> Partition:
+    """Base partition joining the fiber blocks order[j] of each group j."""
+    return Partition.of([sorted(i for j in g for i in fibers.blocks[order[j]]) for g in grouping.blocks])
+
+
 @dataclass(frozen=True)
 class CoarseGraining:
     """A concrete coarse-graining of a base spectrum: the fiber partition
@@ -216,11 +253,7 @@ class CoarseGraining:
         base indices are joined when their blocks fall in one group."""
         if grouping.k != self.codomain_size:
             raise BaseMismatchError("grouping must partition the codomain spectrum")
-        order = self.index_to_block
-        merged = []
-        for g in grouping.blocks:
-            merged.append(sorted(i for j in g for i in self.partition.blocks[order[j]]))
-        return Partition.of(merged)
+        return _composite(self.partition, self.index_to_block, grouping)
 
 
 def compose(outer: "CoarseGraining", inner: "CoarseGraining") -> "CoarseGraining":
@@ -248,35 +281,58 @@ def compose(outer: "CoarseGraining", inner: "CoarseGraining") -> "CoarseGraining
 class Sieve:
     """An up-closed set of partitions of a k-element spectrum.
 
+    Stored as `mask`, a bitmask over the interned admissible partitions
+    of (k, mode) in sorted order; `partitions` is the frozenset view.
     Membership of a partition implies membership of every admissible
-    coarsening; the constructor enforces this, so every Sieve in the
+    coarsening; construction enforces this, so every Sieve in the
     program is genuinely a sieve.
     """
 
-    __slots__ = ("k", "mode", "partitions")
+    __slots__ = ("k", "mode", "mask", "_lattice", "_partitions")
 
     def __init__(self, k: int, mode: Mode, partitions: Iterable[Partition]):
-        parts = frozenset(partitions)
-        admissible = admissible_partitions(k, mode)
-        for p in parts:
-            if p not in admissible:
+        lattice = _lattice(k, mode)
+        mask = 0
+        for p in partitions:
+            i = lattice.index.get(p)
+            if i is None:
                 raise InputError(f"partition {p} not admissible at k={k} in {mode.name}")
-            for q in coarsenings_of(p):
-                if q in admissible and q not in parts:
-                    raise InputError(f"not up-closed: {p} present but coarsening {q} missing")
+            mask |= 1 << i
+        self._set(k, mode, lattice, mask)
+
+    @classmethod
+    def _of_mask(cls, k: int, mode: Mode, mask: int) -> "Sieve":
+        sieve = cls.__new__(cls)
+        sieve._set(k, mode, _lattice(k, mode), mask)
+        return sieve
+
+    def _set(self, k: int, mode: Mode, lattice: _Lattice, mask: int) -> None:
+        for i in _bits(mask):
+            missing = lattice.up[i] & ~mask
+            if missing:
+                q = lattice.parts[next(_bits(missing))]
+                raise InputError(f"not up-closed: {lattice.parts[i]} present but coarsening {q} missing")
         self.k = k
         self.mode = mode
-        self.partitions = parts
+        self.mask = mask
+        self._lattice = lattice
+        self._partitions = None
+
+    @property
+    def partitions(self) -> frozenset[Partition]:
+        if self._partitions is None:
+            self._partitions = frozenset(self)
+        return self._partitions
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def totally_true(k: int, mode: Mode) -> "Sieve":
-        return Sieve(k, mode, admissible_partitions(k, mode))
+        return Sieve._of_mask(k, mode, _lattice(k, mode).full)
 
     @staticmethod
     def totally_false(k: int, mode: Mode) -> "Sieve":
-        return Sieve(k, mode, ())
+        return Sieve._of_mask(k, mode, 0)
 
     # -- basic protocol ----------------------------------------------
 
@@ -285,20 +341,22 @@ class Sieve:
             isinstance(other, Sieve)
             and self.k == other.k
             and self.mode == other.mode
-            and self.partitions == other.partitions
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.k, self.mode, self.partitions))
+        return hash((self.k, self.mode, self.mask))
 
     def __contains__(self, p: Partition) -> bool:
-        return p in self.partitions
+        i = self._lattice.index.get(p)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __len__(self) -> int:
-        return len(self.partitions)
+        return self.mask.bit_count()
 
     def __iter__(self):
-        return iter(sorted(self.partitions))
+        parts = self._lattice.parts
+        return (parts[i] for i in _bits(self.mask))
 
     def __repr__(self):
         inner = "; ".join(str(p) for p in self)
@@ -310,33 +368,35 @@ class Sieve:
 
     def leq(self, other: "Sieve") -> bool:
         self._check_compatible(other)
-        return self.partitions <= other.partitions
+        return not self.mask & ~other.mask
 
     # -- Heyting operations ------------------------------------------
 
     def meet(self, other: "Sieve") -> "Sieve":
         self._check_compatible(other)
-        return Sieve(self.k, self.mode, self.partitions & other.partitions)
+        return Sieve._of_mask(self.k, self.mode, self.mask & other.mask)
 
     def join(self, other: "Sieve") -> "Sieve":
         self._check_compatible(other)
-        return Sieve(self.k, self.mode, self.partitions | other.partitions)
+        return Sieve._of_mask(self.k, self.mode, self.mask | other.mask)
 
     def implies(self, other: "Sieve") -> "Sieve":
         """Largest sieve whose meet with self lies below other."""
         self._check_compatible(other)
-        admissible = admissible_partitions(self.k, self.mode)
-        members = []
-        for p in admissible:
-            ups = [q for q in coarsenings_of(p) if q in admissible]
-            if all(q not in self.partitions or q in other.partitions for q in ups):
-                members.append(p)
-        return Sieve(self.k, self.mode, members)
+        return self._avoiding(self.mask & ~other.mask)
 
     def neg(self) -> "Sieve":
         """Pseudo-complement: partitions none of whose admissible
         coarsenings belong to self."""
-        return self.implies(Sieve.totally_false(self.k, self.mode))
+        return self._avoiding(self.mask)
+
+    def _avoiding(self, bad: int) -> "Sieve":
+        """Partitions none of whose admissible coarsenings lie in `bad`."""
+        mask = 0
+        for i, up in enumerate(self._lattice.up):
+            if not up & bad:
+                mask |= 1 << i
+        return Sieve._of_mask(self.k, self.mode, mask)
 
     # -- presheaf structure ------------------------------------------
 
@@ -345,55 +405,69 @@ class Sieve:
         with f belongs here."""
         if f.partition.k != self.k:
             raise BaseMismatchError("coarse-graining not based at this sieve's base")
-        members = []
-        for p in admissible_partitions(f.codomain_size, self.mode):
-            if f.composite_partition(p) in self.partitions:
-                members.append(p)
-        return Sieve(f.codomain_size, self.mode, members)
+        mask = 0
+        for base_bit, bit in _pullback_table(f.partition, f.index_to_block, self.mode):
+            if self.mask & base_bit:
+                mask |= bit
+        return Sieve._of_mask(f.codomain_size, self.mode, mask)
 
     def classify(self) -> Classification:
-        if not self.partitions:
+        if not self.mask:
             return Classification.TOTALLY_FALSE
-        if self.partitions == admissible_partitions(self.k, self.mode):
+        if self.mask == self._lattice.full:
             return Classification.TOTALLY_TRUE
-        if self.mode is Mode.WITH_CONSTANTS and self.partitions == {Partition.one_block(self.k)}:
+        if self.mode is Mode.WITH_CONSTANTS and self.mask == self._lattice.one_block:
             return Classification.MINIMALLY_TRUE
         return Classification.INTERMEDIATE
 
 
+@lru_cache(maxsize=None)
+def _pullback_table(fibers: Partition, order: tuple[int, ...], mode: Mode) -> tuple[tuple[int, int], ...]:
+    """One (base bit, codomain bit) pair per admissible partition of the
+    codomain of a coarse-graining with these fibers and block order; the
+    base bit is that of the composite partition."""
+    base = _lattice(fibers.k, mode).index
+    return tuple(
+        (1 << base[_composite(fibers, order, p)], 1 << j)
+        for j, p in enumerate(_lattice(fibers.n_blocks, mode).parts)
+    )
+
+
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
     """Smallest sieve containing the seed partitions."""
-    admissible = admissible_partitions(k, mode)
-    members: set[Partition] = set()
+    lattice = _lattice(k, mode)
+    mask = 0
     for p in seed:
         if p.k != k:
             raise InputError(f"seed partition {p} not over a {k}-element base")
-        if p not in admissible:
+        i = lattice.index.get(p)
+        if i is None:
             raise InputError(f"seed partition {p} not admissible in {mode.name}")
-        members.update(q for q in coarsenings_of(p) if q in admissible)
-    return Sieve(k, mode, members)
+        mask |= lattice.up[i]
+    return Sieve._of_mask(k, mode, mask)
 
 
-# -- module-level aliases matching the operation vocabulary ----------
-
-def heyting_meet(s1: Sieve, s2: Sieve) -> Sieve:
-    return s1.meet(s2)
-
-
-def heyting_join(s1: Sieve, s2: Sieve) -> Sieve:
-    return s1.join(s2)
-
-
-def heyting_implies(s1: Sieve, s2: Sieve) -> Sieve:
-    return s1.implies(s2)
+@lru_cache(maxsize=None)
+def _mass_groups(k: int, mode: Mode, indices: frozenset[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The admissible partitions grouped by the union of their blocks
+    that meet `indices`: one (sorted union, group mask) pair per union."""
+    groups: dict[tuple[int, ...], int] = {}
+    for i, p in enumerate(_lattice(k, mode).parts):
+        union = tuple(sorted(x for b in p.blocks if indices.intersection(b) for x in b))
+        groups[union] = groups.get(union, 0) | 1 << i
+    return tuple(groups.items())
 
 
-def heyting_neg(s: Sieve) -> Sieve:
-    return s.neg()
-
-
-def pullback(s: Sieve, f: CoarseGraining) -> Sieve:
-    return s.pullback(f)
+def mass_sieve(
+    k: int, mode: Mode, indices: Iterable[int], weights: Sequence[float], cutoff: float
+) -> Sieve:
+    """Sieve of the admissible partitions whose blocks meeting `indices`
+    carry total weight at least `cutoff` (weights per spectrum index)."""
+    mask = 0
+    for union, group in _mass_groups(k, mode, frozenset(indices)):
+        if sum(weights[i] for i in union) >= cutoff:
+            mask |= group
+    return Sieve._of_mask(k, mode, mask)
 
 
 # -- DOT export ------------------------------------------------------

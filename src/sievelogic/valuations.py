@@ -33,6 +33,7 @@ from .sieves import (
     Partition,
     Sieve,
     admissible_partitions,
+    mass_sieve,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -127,7 +128,7 @@ class PartialValuation:
                     continue
                 via1 = float(p.block_of(a1))
                 via2 = g[a2]
-                if abs(via1 - via2) > 1e-6:
+                if abs(via1 - via2) > self.tol.eps_group:
                     raise InconsistentAssignmentsError(
                         f"assignments conflict on a common coarse-graining of "
                         f"{op1!r} and {op2!r}: {via1:g} vs {via2:g}"
@@ -209,35 +210,28 @@ class GeneralizedValuation:
                 cell = (False, -1)
             else:
                 j = round(v)
-                if abs(v - j) > 1e-6 or not 0 <= j < p.n_blocks:
+                if abs(v - j) > self.tol.eps_group or not 0 <= j < p.n_blocks:
                     raise InputError(f"partial valuation returned a non-spectral value {v!r}")
                 cell = (True, j)
             hit = (a, cell)
             self._partial_cells[key] = hit
         return hit[1]
 
-    def _member(self, a: SpectralOperator, p: Partition, indices: frozenset[int]) -> bool:
-        if self.kind == "partial":
-            in_dom, j = self._partial_cell(a, p)
-            return in_dom and bool(set(p.blocks[j]) & indices)
-        weights = self._state_weights(a)
-        mass = 0.0
-        for block in p.blocks:
-            if indices & set(block):
-                mass += sum(weights[i] for i in block)
-        return mass >= self._cutoff
-
     def evaluate(self, p: Proposition) -> Sieve:
         key = (id(p.operator), p.indices)
         hit = self._sieves.get(key)
         if hit is None:
             a = p.operator
-            members = [
-                q
-                for q in admissible_partitions(a.k, self.mode)
-                if self._member(a, q, p.indices)
-            ]
-            hit = (a, Sieve(a.k, self.mode, members))
+            if self.kind == "partial":
+                members = []
+                for q in admissible_partitions(a.k, self.mode):
+                    in_dom, j = self._partial_cell(a, q)
+                    if in_dom and p.indices.intersection(q.blocks[j]):
+                        members.append(q)
+                sieve = Sieve(a.k, self.mode, members)
+            else:
+                sieve = mass_sieve(a.k, self.mode, p.indices, self._state_weights(a), self._cutoff)
+            hit = (a, sieve)
             self._sieves[key] = hit
         return hit[1]
 

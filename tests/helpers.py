@@ -6,10 +6,12 @@ enumeration where possible, without reusing the code paths under test.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from sievelogic import (
+    Classification,
     ContextFamily,
     Mode,
     Partition,
@@ -83,21 +85,77 @@ def rand_basis_context(rng, dim: int):
 
 # -- oracles ----------------------------------------------------------
 
-def brute_coarsenings(p: Partition) -> set[Partition]:
-    return {q for q in all_partitions(p.k) if q.coarsens(p)}
+@lru_cache(maxsize=None)
+def brute_coarsenings(p: Partition) -> frozenset[Partition]:
+    return frozenset(q for q in all_partitions(p.k) if q.coarsens(p))
 
 
-def brute_up_sets(k: int, mode: Mode) -> list[frozenset[Partition]]:
+@lru_cache(maxsize=None)
+def brute_up_sets(k: int, mode: Mode) -> tuple[frozenset[Partition], ...]:
     """Every up-closed subset of the admissible partition order, by
     filtering the full power set.  Only usable for small k."""
     parts = sorted(admissible_partitions(k, mode))
+    ups = {p: [q for q in brute_coarsenings(p) if q in set(parts)] for p in parts}
     out = []
     for n in range(len(parts) + 1):
         for combo in itertools.combinations(parts, n):
             chosen = frozenset(combo)
-            if all(q in chosen for p in chosen for q in brute_coarsenings(p) if q in set(parts)):
+            if all(q in chosen for p in chosen for q in ups[p]):
                 out.append(chosen)
-    return out
+    return tuple(out)
+
+
+def brute_up_set(k: int, mode: Mode, seed) -> frozenset[Partition]:
+    """Up-closure of a seed set by direct coarsening tests."""
+    admissible = admissible_partitions(k, mode)
+    return frozenset(q for p in seed for q in brute_coarsenings(p) if q in admissible)
+
+
+def brute_implies(k: int, mode: Mode, a: frozenset, b: frozenset) -> frozenset[Partition]:
+    """Partitions every admissible coarsening of which lies outside a or
+    inside b (the Heyting implication a => b; neg a is a => empty)."""
+    admissible = admissible_partitions(k, mode)
+    return frozenset(
+        p for p in admissible
+        if all(q not in a or q in b for q in brute_coarsenings(p) if q in admissible)
+    )
+
+
+def brute_classify(k: int, mode: Mode, s: frozenset) -> Classification:
+    if not s:
+        return Classification.TOTALLY_FALSE
+    if s == admissible_partitions(k, mode):
+        return Classification.TOTALLY_TRUE
+    if mode is Mode.WITH_CONSTANTS and s == {Partition.of([range(k)])}:
+        return Classification.MINIMALLY_TRUE
+    return Classification.INTERMEDIATE
+
+
+def brute_pullback(s: frozenset, mode: Mode, base_values) -> frozenset[Partition]:
+    """Pullback of s along the map sending base index i to base_values[i]:
+    a partition of the codomain (the distinct values, ascending) belongs
+    when joining base indices whose values share one of its blocks
+    gives a member of s."""
+    codomain = sorted(set(base_values))
+    image = [codomain.index(v) for v in base_values]
+    out = set()
+    for p in admissible_partitions(len(codomain), mode):
+        classes: dict[int, list[int]] = {}
+        for i, j in enumerate(image):
+            owner = next(pos for pos, b in enumerate(p.blocks) if j in b)
+            classes.setdefault(owner, []).append(i)
+        if Partition.of(classes.values()) in s:
+            out.add(p)
+    return frozenset(out)
+
+
+def brute_mass_sieve(k: int, mode: Mode, weights, delta, cutoff: float) -> frozenset[Partition]:
+    """Partitions whose blocks meeting delta carry weight >= cutoff."""
+    delta = frozenset(delta)
+    return frozenset(
+        p for p in admissible_partitions(k, mode)
+        if sum(sum(weights[i] for i in b) for b in p.blocks if delta & set(b)) >= cutoff
+    )
 
 
 def up_closed_sieve(k: int, mode: Mode, members: frozenset[Partition]) -> Sieve:

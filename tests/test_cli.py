@@ -105,6 +105,24 @@ class TestEval:
         assert res.exit_code == 2
         assert "mode" in res.stderr
 
+    def test_close_eigenvalues_print_apart(self, runner, tmp_path):
+        # %g prints both 1.0000001 and 1.0000002 as "1"
+        data = {
+            "format": "sievelogic.system/1",
+            "dimension": 3,
+            "mode": "o",
+            "operators": {"A": {"matrix": [[1.0000001, 0, 0], [0, 1.0000002, 0], [0, 0, 3.0]]}},
+            "states": {"e0": {"vector": [1.0, 0.0, 0.0]}},
+        }
+        f = tmp_path / "close.json"
+        f.write_text(json.dumps(data))
+        res = run(runner, "eval", str(f), "-v", "state:e0", "-p", "A in {0}", "--by-index")
+        assert res.exit_code == 0
+        assert "{1.0000001}|{1.0000002}|{3}" in res.output.splitlines()
+        assert "{1.0000001,3}|{1.0000002}" in res.output.splitlines()
+        dot = run(runner, "dot", str(f), "A")
+        assert 'label="{1.0000001}|{1.0000002}|{3}"' in dot.output
+
 
 class TestAxioms:
     def test_spin1_state_passes(self, runner):

@@ -1,16 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelogic import (
+    DEFAULT_TOL,
     BaseMismatchError,
     Classification,
     CoarseGraining,
+    GeneralizedValuation,
     InputError,
     Mode,
     Partition,
+    Proposition,
+    QuantumState,
     Sieve,
     admissible_partitions,
     all_partitions,
@@ -18,10 +23,20 @@ from sievelogic import (
     coarsenings_of,
     compose,
     covering_pairs,
+    from_spectral_data,
     lattice_dot,
+    prob,
     up_closure,
 )
-from helpers import brute_coarsenings, brute_up_sets
+from helpers import (
+    brute_classify,
+    brute_coarsenings,
+    brute_implies,
+    brute_mass_sieve,
+    brute_pullback,
+    brute_up_set,
+    brute_up_sets,
+)
 
 
 class TestPartition:
@@ -266,3 +281,120 @@ class TestDot:
         s = Sieve.totally_true(3, Mode.WITH_CONSTANTS)
         with pytest.raises(BaseMismatchError):
             lattice_dot(4, Mode.WITH_CONSTANTS, sieve=s)
+
+
+# -- second route for the bitmask kernel ---------------------------------
+
+MODES = [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]
+
+
+@st.composite
+def up_sets(draw, k, mode):
+    """Any up-set at k <= 4 (from the full enumeration); at k = 5 the
+    brute up-closure of a random seed."""
+    if k <= 4:
+        return draw(st.sampled_from(brute_up_sets(k, mode)))
+    parts = sorted(admissible_partitions(k, mode))
+    seed = draw(st.sets(st.sampled_from(parts), max_size=4))
+    return brute_up_set(k, mode, seed)
+
+
+@st.composite
+def up_set_pairs(draw):
+    k = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(MODES))
+    return k, mode, draw(up_sets(k, mode)), draw(up_sets(k, mode))
+
+
+@st.composite
+def graining_cases(draw):
+    """An up-set and a coarse-graining of its base with random fibers and
+    distinct labels in random order, so the codomain index order need not
+    follow block order."""
+    k = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(MODES))
+    s = draw(up_sets(k, mode))
+    fibers = draw(st.sampled_from(all_partitions(k)))
+    labels = draw(st.permutations([float(x) for x in range(fibers.n_blocks)]))
+    return k, mode, s, CoarseGraining(fibers, tuple(labels), base=None)
+
+
+class TestKernelSecondRoute:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_up_set_round_trips(self, k, mode):
+        admissible = sorted(admissible_partitions(k, mode))
+        for members in brute_up_sets(k, mode):
+            s = Sieve(k, mode, members)
+            assert s.partitions == members
+            assert list(s) == sorted(members)
+            assert len(s) == len(members)
+            assert [p in s for p in admissible] == [p in members for p in admissible]
+            assert s.classify() is brute_classify(k, mode, members)
+            assert s.neg().partitions == brute_implies(k, mode, members, frozenset())
+            assert s == Sieve(k, mode, sorted(members)) and hash(s) == hash(Sieve(k, mode, members))
+
+    @settings(max_examples=300, deadline=None)
+    @given(up_set_pairs())
+    def test_binary_operations(self, case):
+        k, mode, a, b = case
+        sa, sb = Sieve(k, mode, a), Sieve(k, mode, b)
+        assert sa.meet(sb).partitions == a & b
+        assert sa.join(sb).partitions == a | b
+        assert sa.implies(sb).partitions == brute_implies(k, mode, a, b)
+        assert sa.neg().partitions == brute_implies(k, mode, a, frozenset())
+        assert sa.leq(sb) == (a <= b)
+        assert (sa == sb) == (a == b)
+        assert sa.classify() is brute_classify(k, mode, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graining_cases())
+    def test_pullback(self, case):
+        k, mode, s, f = case
+        values = [f.value_at(i) for i in range(k)]
+        pulled = Sieve(k, mode, s).pullback(f)
+        assert (pulled.k, pulled.mode) == (f.codomain_size, mode)
+        assert pulled.partitions == brute_pullback(s, mode, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from(MODES), st.data())
+    def test_constructor_validates(self, k, mode, data):
+        parts = sorted(admissible_partitions(k, mode))
+        chosen = frozenset(data.draw(st.sets(st.sampled_from(parts), max_size=6))) if parts else frozenset()
+        if chosen == brute_up_set(k, mode, chosen):
+            assert Sieve(k, mode, chosen).partitions == chosen
+        else:
+            with pytest.raises(InputError, match="not up-closed"):
+                Sieve(k, mode, chosen)
+        foreign = data.draw(st.sampled_from(
+            [Partition.discrete(k + 1)] + ([Partition.one_block(k)] if mode is Mode.WITHOUT_CONSTANTS else [])
+        ))
+        with pytest.raises(InputError, match="not admissible"):
+            Sieve(k, mode, chosen | {foreign})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(MODES),
+        st.sampled_from(["state", "threshold"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_state_evaluate_matches_block_masses(self, k, mode, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        w = rng.random(k) * (rng.random(k) < 0.7)
+        if not w.any():
+            w[int(rng.integers(k))] = 1.0
+        w = w / w.sum()
+        eye = np.eye(k)
+        op = from_spectral_data(np.arange(k, dtype=float), [np.outer(eye[i], eye[i]) for i in range(k)])
+        state = QuantumState.density(np.diag(w))
+        if kind == "state":
+            nu, r = GeneralizedValuation.from_state(state, mode), 1.0
+        else:
+            r = float(rng.uniform(0.05, 1.0))
+            nu = GeneralizedValuation.threshold(state, r, mode)
+        weights = [prob(state, p) for p in op.projectors]
+        delta = data.draw(st.sets(st.integers(0, k - 1)))
+        got = nu.evaluate(Proposition(op, frozenset(delta))).partitions
+        assert got == brute_mass_sieve(k, mode, weights, delta, r - DEFAULT_TOL.tau_one)

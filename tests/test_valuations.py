@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sievelogic import (
+    DEFAULT_TOL,
     Classification,
     DisjunctionStrength,
     GeneralizedValuation,
@@ -13,6 +14,7 @@ from sievelogic import (
     Proposition,
     QuantumState,
     Sieve,
+    Tolerances,
     apply_function,
     canonical_graining,
     check_axioms,
@@ -197,6 +199,45 @@ class TestPartialFamilyValuation:
         product = decompose(a1.matrix @ a2.matrix)
         assert v.locate(total) == pytest.approx(v.locate(a1) + v.locate(a2))
         assert v.locate(product) == pytest.approx(v.locate(a1) * v.locate(a2))
+
+
+class TestTolerances:
+    """The spectral-value checks of partial valuations use the
+    valuation's eps_group, so an overridden Tolerances moves them."""
+
+    def test_partial_cell_value_check(self, spin1_sx):
+        class Shifted(PartialValuation):
+            def locate(self, b):
+                v = super().locate(b)
+                return None if v is None else v + 1e-7
+
+        prop = Proposition(spin1_sx, frozenset([0]))
+        strict = GeneralizedValuation.from_partial(
+            Shifted("maximal", [(spin1_sx, 0)], DEFAULT_TOL), Mode.WITH_CONSTANTS
+        )
+        with pytest.raises(InputError, match="non-spectral"):
+            strict.evaluate(prop)
+        loose_tol = Tolerances(eps_group=1e-6)
+        loose = GeneralizedValuation.from_partial(
+            Shifted("maximal", [(spin1_sx, 0)], loose_tol), Mode.WITH_CONSTANTS, loose_tol
+        )
+        exact = GeneralizedValuation.from_partial(PartialValuation.maximal(spin1_sx, 0), Mode.WITH_CONSTANTS)
+        assert loose.evaluate(prop) == exact.evaluate(prop)
+
+    def test_consistency_check(self, spin1_sz, monkeypatch):
+        import sievelogic.valuations as valuations
+
+        real = valuations.is_function_of
+
+        def shifted(a, m, tol=DEFAULT_TOL):
+            g = real(a, m, tol)
+            return None if g is None else {i: v + 1e-7 for i, v in g.items()}
+
+        monkeypatch.setattr(valuations, "is_function_of", shifted)
+        pairs = [(spin1_sz, 0), (spin1_sz, 0)]
+        with pytest.raises(InconsistentAssignmentsError):
+            PartialValuation.explicit(pairs)
+        PartialValuation.explicit(pairs, Tolerances(eps_group=1e-6))
 
 
 class TestThresholdValuation:
