@@ -165,7 +165,7 @@ def check_indicator_naturality(a: SpectralOperator, tol: Tolerances = DEFAULT_TO
                         induced.value(combo) == restricted.value_projector(element, tol)
                         and induced.value(combo)
                         == chi.value_projector(element, tol),
-                        f"indicator square fails at partition {p}, eigenvalue index {lam}, blocks {combo}",
+                        lambda: f"indicator square fails at partition {p}, eigenvalue index {lam}, blocks {combo}",
                     )
     return report.finish()
 

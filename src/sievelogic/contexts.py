@@ -11,17 +11,21 @@ Truth values over a node are down-closed sets of subalgebras (further
 coarsenings).  A density matrix induces such a truth value for each
 projector: the set of coarsenings under which the projector's canonical
 coarse-graining has probability one.
+
+The poset is the interned partition lattice of `sieves`: a node is a bit
+index, its down set is its up-set mask, and a truth value is a `Sieve`.
 """
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, admissible_partitions
+from .sieves import Mode, Partition, Sieve, _bits, _lattice, mass_sieve
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -121,51 +125,49 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_down")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_down")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
         self.mode = mode
-        self.nodes = tuple(sorted(admissible_partitions(top.n_atoms, mode)))
+        self._lattice = _lattice(top.n_atoms, mode)
+        self.nodes = self._lattice.parts
         self._down = {}
 
     def contains(self, w: Partition) -> bool:
-        return w.k == self.top.n_atoms and w in self.nodes
+        return w in self._lattice.index
 
-    def _require(self, w: Partition) -> None:
-        if not self.contains(w):
+    def _require(self, w: Partition) -> int:
+        i = self._lattice.index.get(w)
+        if i is None:
             raise InputError(f"partition {w} is not a node of this poset")
+        return i
 
     def leq(self, w2: Partition, w1: Partition) -> bool:
         """Whether w2 is a subalgebra of w1."""
-        self._require(w1)
-        self._require(w2)
-        return w2.coarsens(w1)
+        i1 = self._require(w1)
+        return bool(self._lattice.up[i1] >> self._require(w2) & 1)
 
     def down_set(self, w: Partition) -> frozenset[Partition]:
         """All subalgebras of w, including w itself."""
-        self._require(w)
-        hit = self._down.get(w)
+        i = self._require(w)
+        hit = self._down.get(i)
         if hit is None:
-            hit = frozenset(q for q in self.nodes if q.coarsens(w))
-            self._down[w] = hit
+            hit = self._down[i] = frozenset(self.nodes[j] for j in _bits(self._lattice.up[i]))
         return hit
 
     def elements(self, w: Partition) -> tuple[Element, ...]:
         """All elements of node w as frozensets of top-atom indices,
         in a deterministic order."""
         self._require(w)
-        out = []
-        for n in range(w.n_blocks + 1):
-            for combo in itertools.combinations(range(w.n_blocks), n):
-                out.append(frozenset(i for b in combo for i in w.blocks[b]))
+        out = (frozenset(i for b in combo for i in b)
+               for n in range(w.n_blocks + 1) for combo in itertools.combinations(w.blocks, n))
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
     def is_element(self, w: Partition, alpha: Element) -> bool:
         self._require(w)
-        if not alpha <= frozenset(range(self.top.n_atoms)):
-            return False
-        return all(set(b) <= alpha or not (set(b) & alpha) for b in w.blocks)
+        alpha = frozenset(alpha)
+        return alpha <= frozenset(range(self.top.n_atoms)) and _image(w, alpha) == alpha
 
     def element_matrix(self, alpha: Element) -> np.ndarray:
         return self.top.element(alpha)
@@ -179,62 +181,66 @@ class SubalgebraPoset:
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
 
 
+@lru_cache(maxsize=None)
+def _image(w2: Partition, alpha: Element) -> Element:
+    """The union of w2's blocks that meet alpha."""
+    return frozenset(i for b in w2.blocks if not alpha.isdisjoint(b) for i in b)
+
+
 def canonical_coarsening(
     poset: SubalgebraPoset, w1: Partition, w2: Partition, alpha: Element
 ) -> Element:
     """The least element of subalgebra w2 dominating alpha: the union of
     w2's blocks that meet alpha."""
-    poset._require(w1)
-    poset._require(w2)
-    if not w2.coarsens(w1):
+    if not poset.leq(w2, w1):
         raise NotSubalgebraError(f"{w2} is not a subalgebra of {w1}")
     if not poset.is_element(w1, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w1}")
-    out: set[int] = set()
-    for b in w2.blocks:
-        if set(b) & alpha:
-            out |= set(b)
-    return frozenset(out)
+    return _image(w2, frozenset(alpha))
 
 
-def _as_theta(poset: SubalgebraPoset, theta: Optional[ThetaMap]):
+def _as_theta(theta: Optional[ThetaMap]):
+    """The map as a function of (w1, w2, alpha); the canonical one skips
+    the argument checks, since the audits pass only poset data."""
     if theta is None:
-        return lambda w1, w2, alpha: canonical_coarsening(poset, w1, w2, alpha)
+        return lambda w1, w2, alpha: _image(w2, alpha)
     if callable(theta):
         return theta
-    table = theta
-    return lambda w1, w2, alpha: table[(w1, w2)][alpha]
+
+    def lookup(w1, w2, alpha):
+        try:
+            return theta[(w1, w2)][alpha]
+        except KeyError:
+            raise InputError(f"theta table has no entry for ({w1}, {w2}, {sorted(alpha)})") from None
+
+    return lookup
 
 
 def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = None) -> Report:
     """Exhaustive audit of a coarse-graining map over the whole poset:
     domination, monotonicity, retraction, and composition along chains.
     The canonical map is used when none is supplied."""
-    th = _as_theta(poset, theta)
+    th = _as_theta(theta)
     report = Report("coarse-graining axioms")
     elements = {w: poset.elements(w) for w in poset.nodes}
-    pairs = [
-        (w1, w2)
-        for w1 in poset.nodes
-        for w2 in poset.down_set(w1)
-    ]
+    pairs = [(w1, w2) for w1 in poset.nodes for w2 in poset.down_set(w1)]
     for w1, w2 in pairs:
         for alpha in elements[w1]:
             image = th(w1, w2, alpha)
             report.record(
                 alpha <= image,
-                f"domination fails: theta({sorted(alpha)}) from {w1} to {w2} loses atoms",
+                lambda: f"domination fails: theta({sorted(alpha)}) from {w1} to {w2} loses atoms",
             )
-            if poset.is_element(w2, alpha):
+            if _image(w2, alpha) == alpha:
                 report.record(
                     image == alpha,
-                    f"retraction fails on {sorted(alpha)} from {w1} to {w2}",
+                    lambda: f"retraction fails on {sorted(alpha)} from {w1} to {w2}",
                 )
         for alpha, beta in itertools.combinations(elements[w1], 2):
             if alpha <= beta:
                 report.record(
                     th(w1, w2, alpha) <= th(w1, w2, beta),
-                    f"monotonicity fails for {sorted(alpha)} within {sorted(beta)} from {w1} to {w2}",
+                    lambda: f"monotonicity fails for {sorted(alpha)} within {sorted(beta)} from {w1} to {w2}",
                 )
     for w1, w2 in pairs:
         for w3 in poset.down_set(w2):
@@ -243,80 +249,86 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
                 staged = th(w2, w3, th(w1, w2, alpha))
                 report.record(
                     direct == staged,
-                    f"composition fails on {sorted(alpha)} along {w1} -> {w2} -> {w3}",
+                    lambda: f"composition fails on {sorted(alpha)} along {w1} -> {w2} -> {w3}",
                 )
     return report.finish()
 
 
 class SubalgebraSieve:
     """A down-closed set of subalgebras of a base node: a truth value at
-    that node."""
+    that node.  It wraps the `Sieve` over the poset's lattice whose mask
+    lies in the base's down set; `Sieve` enforces the closure."""
 
-    __slots__ = ("poset", "base", "members")
+    __slots__ = ("poset", "base", "sieve", "_down")
 
     def __init__(self, poset: SubalgebraPoset, base: Partition, members: Iterable[Partition]):
-        poset._require(base)
-        down = poset.down_set(base)
-        mem = frozenset(members)
-        for w in mem:
-            if w not in down:
+        i = poset._require(base)
+        mask = 0
+        for w in members:
+            j = poset._lattice.index.get(w)
+            if j is None or not poset._lattice.up[i] >> j & 1:
                 raise InputError(f"{w} is not a subalgebra of the base {base}")
-            for q in poset.down_set(w):
-                if q not in mem:
-                    raise InputError(
-                        f"member set is not down-closed: {w} present, {q} missing"
-                    )
-        self.poset = poset
-        self.base = base
-        self.members = mem
+            mask |= 1 << j
+        self._set(poset, i, mask)
+
+    @classmethod
+    def _at(cls, poset: SubalgebraPoset, i: int, mask: int) -> "SubalgebraSieve":
+        """The truth value with this mask at the node of bit index i."""
+        out = cls.__new__(cls)
+        out._set(poset, i, mask)
+        return out
+
+    def _set(self, poset: SubalgebraPoset, i: int, mask: int) -> None:
+        self.poset, self.base, self._down = poset, poset.nodes[i], poset._lattice.up[i]
+        self.sieve = Sieve._of_mask(poset.top.n_atoms, poset.mode, mask)
+
+    @property
+    def members(self) -> frozenset[Partition]:
+        return self.sieve.partitions
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubalgebraSieve)
-            and self.base == other.base
-            and self.members == other.members
-        )
+        return isinstance(other, SubalgebraSieve) and self.base == other.base and self.sieve == other.sieve
 
     def __hash__(self):
-        return hash((self.base, self.members))
+        return hash((self.base, self.sieve))
 
     def __contains__(self, w: Partition) -> bool:
-        return w in self.members
+        return w in self.sieve
 
     def __len__(self):
-        return len(self.members)
+        return len(self.sieve)
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self.sieve)
 
     def leq(self, other: "SubalgebraSieve") -> bool:
         if self.base != other.base:
             raise InputError("cannot compare truth values at different nodes")
-        return self.members <= other.members
+        return self.sieve.leq(other.sieve)
 
     @property
     def is_true(self) -> bool:
-        return self.members == self.poset.down_set(self.base)
+        return self.sieve.mask == self._down
 
     @property
     def is_false(self) -> bool:
-        return not self.members
+        return not self.sieve.mask
 
     def restrict(self, w2: Partition) -> "SubalgebraSieve":
         """The induced truth value at a subalgebra of the base."""
-        if not self.poset.leq(w2, self.base):
+        i2 = self.poset._require(w2)
+        if not self._down >> i2 & 1:
             raise NotSubalgebraError(f"{w2} is not a subalgebra of {self.base}")
-        return SubalgebraSieve(
-            self.poset, w2, self.members & self.poset.down_set(w2)
-        )
+        return SubalgebraSieve._at(self.poset, i2, self.sieve.mask & self.poset._lattice.up[i2])
 
     def __repr__(self):
-        return f"SubalgebraSieve(base={self.base}, members={len(self.members)})"
+        return f"SubalgebraSieve(base={self.base}, members={len(self)})"
 
 
 def true_w(poset: SubalgebraPoset, w: Partition) -> SubalgebraSieve:
     """The unit truth value at node w: every subalgebra."""
-    return SubalgebraSieve(poset, w, poset.down_set(w))
+    i = poset._require(w)
+    return SubalgebraSieve._at(poset, i, poset._lattice.up[i])
 
 
 def _atom_weights(rho: QuantumState, poset: SubalgebraPoset, tol: Tolerances) -> tuple[float, ...]:
@@ -325,21 +337,11 @@ def _atom_weights(rho: QuantumState, poset: SubalgebraPoset, tol: Tolerances) ->
 
 
 def _sieve_from_weights(
-    poset: SubalgebraPoset,
-    w: Partition,
-    alpha: Element,
-    weights: Sequence[float],
-    tol: Tolerances,
+    poset: SubalgebraPoset, w: Partition, alpha: Element, weights: Sequence[float], tol: Tolerances
 ) -> SubalgebraSieve:
-    members = []
-    for w2 in poset.down_set(w):
-        image: set[int] = set()
-        for b in w2.blocks:
-            if set(b) & alpha:
-                image |= set(b)
-        if sum(weights[i] for i in image) >= 1.0 - tol.tau_one:
-            members.append(w2)
-    return SubalgebraSieve(poset, w, members)
+    i = poset._require(w)
+    mass = mass_sieve(poset.top.n_atoms, poset.mode, alpha, weights, 1.0 - tol.tau_one)
+    return SubalgebraSieve._at(poset, i, mass.mask & poset._lattice.up[i])
 
 
 def valuation_sieve(
@@ -353,7 +355,6 @@ def valuation_sieve(
     subalgebras whose canonical coarse-graining of the projector has
     probability one.  States of any kind act through their density
     matrix."""
-    poset._require(w)
     if not poset.is_element(w, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w}")
     return _sieve_from_weights(poset, w, alpha, _atom_weights(rho, poset, tol), tol)
@@ -378,13 +379,13 @@ def check_local_valuation(
         if alpha <= beta:
             report.record(
                 phi[alpha].leq(phi[beta]),
-                f"monotonicity fails for {sorted(alpha)} within {sorted(beta)}",
+                lambda: f"monotonicity fails for {sorted(alpha)} within {sorted(beta)}",
             )
     for alpha, beta in itertools.permutations(elements, 2):
         if not (alpha & beta) and phi[alpha].is_true:
             report.record(
                 not phi[beta].is_true,
-                f"exclusivity fails for disjoint {sorted(alpha)} / {sorted(beta)}",
+                lambda: f"exclusivity fails for disjoint {sorted(alpha)} / {sorted(beta)}",
             )
     status = "holds" if phi[unit].is_true else "violated"
     report.notes.append(f"unit condition: {status}")
@@ -408,11 +409,10 @@ def check_restriction_compatibility(
         }
         for w2 in poset.down_set(w1):
             for alpha in elements:
-                image = canonical_coarsening(poset, w1, w2, alpha)
-                lhs = _sieve_from_weights(poset, w2, image, weights, tol)
+                lhs = _sieve_from_weights(poset, w2, _image(w2, alpha), weights, tol)
                 rhs = sieves[alpha].restrict(w2)
                 report.record(
                     lhs == rhs,
-                    f"mismatch at {sorted(alpha)} along {w1} -> {w2}",
+                    lambda: f"mismatch at {sorted(alpha)} along {w1} -> {w2}",
                 )
     return report.finish()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Union
 
 
 @dataclass
@@ -22,10 +23,12 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, passed: bool, message: str) -> None:
+    def record(self, passed: bool, message: Union[str, Callable[[], str]]) -> None:
+        """Count one check; on failure keep the message, calling it first
+        when it is a function, so passing checks format nothing."""
         self.checks += 1
         if not passed:
-            self.violations.append(message)
+            self.violations.append(message() if callable(message) else message)
 
     def finish(self) -> "Report":
         self.violations.sort()

@@ -264,7 +264,7 @@ def check_functional_rule(
     rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
     report.record(
         lhs == rhs,
-        f"coarsened sieve differs from pullback for map {labels} on subset {sorted(idx)}",
+        lambda: f"coarsened sieve differs from pullback for map {labels} on subset {sorted(idx)}",
     )
     return report.finish()
 
@@ -285,13 +285,13 @@ def check_axioms(nu: GeneralizedValuation, a: SpectralOperator) -> Report:
         if d1 <= d2:
             report.record(
                 sieves[d1].leq(sieves[d2]),
-                f"monotonicity fails for {sorted(d1)} within {sorted(d2)}",
+                lambda: f"monotonicity fails for {sorted(d1)} within {sorted(d2)}",
             )
         if not (d1 & d2):
             if sieves[d1].classify() is Classification.TOTALLY_TRUE:
                 report.record(
                     sieves[d2].classify() is not Classification.TOTALLY_TRUE,
-                    f"exclusivity fails for disjoint {sorted(d1)} / {sorted(d2)}",
+                    lambda: f"exclusivity fails for disjoint {sorted(d1)} / {sorted(d2)}",
                 )
     unit_true = sieves[frozenset(range(a.k))].classify() is Classification.TOTALLY_TRUE
     if nu.kind == "partial":
@@ -401,13 +401,13 @@ def check_naturality(
             rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
             report.record(
                 lhs == rhs,
-                f"proposition square fails on subset {sorted(idx)} for map {labels}",
+                lambda: f"proposition square fails on subset {sorted(idx)} for map {labels}",
             )
     for i in range(a.k):
         lhs = nu.evaluate(Proposition(b, cg.image_indices([i])))
         rhs = nu.evaluate(Proposition(a, frozenset([i]))).pullback(cg)
         report.record(
             lhs == rhs,
-            f"pointwise square fails on eigenvalue index {i} for map {labels}",
+            lambda: f"pointwise square fails on eigenvalue index {i} for map {labels}",
         )
     return report.finish()

@@ -201,6 +201,28 @@ def least_dominating_oracle(poset: SubalgebraPoset, w2: Partition, alpha: frozen
     return best
 
 
+@lru_cache(maxsize=None)
+def brute_subalgebras(n: int, mode: Mode, w: Partition) -> frozenset[Partition]:
+    """Nodes of the n-atom subalgebra poset included in node w: the
+    admissible partitions each block of w lies inside a block of."""
+    return frozenset(
+        q for q in admissible_partitions(n, mode)
+        if all(any(set(b) <= set(c) for c in q.blocks) for b in w.blocks)
+    )
+
+
+def brute_valuation_sieve(n: int, mode: Mode, w: Partition, alpha, weights, cutoff: float) -> frozenset[Partition]:
+    """Subalgebras of w whose blocks meeting alpha carry atom weight at
+    least cutoff, summed over their union in index order."""
+    alpha = frozenset(alpha)
+    out = set()
+    for q in brute_subalgebras(n, mode, w):
+        union = sorted(i for c in q.blocks if alpha & set(c) for i in c)
+        if sum(weights[i] for i in union) >= cutoff:
+            out.add(q)
+    return frozenset(out)
+
+
 def witness_ok_independent(fam: ContextFamily, w: DualSectionWitness) -> bool:
     """Cross-context agreement recheck by direct matrix comparison,
     without the fingerprint index."""

@@ -1,13 +1,19 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelogic import (
+    DEFAULT_TOL,
     BooleanContext,
     InputError,
     Mode,
     NotSubalgebraError,
     Partition,
     QuantumState,
+    admissible_partitions,
     SubalgebraPoset,
     SubalgebraSieve,
     ZeroNormError,
@@ -22,7 +28,13 @@ from sievelogic import (
     valuation_sieve,
 )
 from sievelogic.spectral import max_abs
-from helpers import least_dominating_oracle, rand_basis_context, rand_density_state
+from helpers import (
+    brute_subalgebras,
+    brute_valuation_sieve,
+    least_dominating_oracle,
+    rand_basis_context,
+    rand_density_state,
+)
 
 
 FINEST4 = Partition.of([(0,), (1,), (2,), (3,)])
@@ -154,6 +166,29 @@ class TestCoarseningAxioms:
         assert not report.ok
         assert any("retraction" in v for v in report.violations)
 
+    def test_canonical_table_passes(self, poset4):
+        table = {
+            (w1, w2): {alpha: canonical_coarsening(poset4, w1, w2, alpha) for alpha in poset4.elements(w1)}
+            for w1 in poset4.nodes
+            for w2 in poset4.down_set(w1)
+        }
+        report = check_coarsening_axioms(poset4, table)
+        assert report.ok
+        assert report.checks == check_coarsening_axioms(poset4).checks
+
+    def test_table_missing_entry_rejected(self, poset4):
+        with pytest.raises(InputError, match="no entry"):
+            check_coarsening_axioms(poset4, {})
+        w2 = Partition.of([(0, 1), (2, 3)])
+        table = {
+            (w1, q): {alpha: canonical_coarsening(poset4, w1, q, alpha) for alpha in poset4.elements(w1)}
+            for w1 in poset4.nodes
+            for q in poset4.down_set(w1)
+        }
+        del table[(FINEST4, w2)][frozenset([0, 2])]
+        with pytest.raises(InputError, match=r"no entry for \(0\|1\|2\|3, 0,1\|2,3, \[0, 2\]\)"):
+            check_coarsening_axioms(poset4, table)
+
     def test_non_dominating_map_detected(self, poset4):
         def bad(w1, w2, alpha):
             return frozenset()
@@ -281,3 +316,98 @@ class TestSubalgebraSieve:
         assert s1.leq(true_w(poset4, FINEST4))
         with pytest.raises(InputError):
             s1.leq(s2)
+
+
+MODES = [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]
+
+
+@lru_cache(maxsize=None)
+def diag_poset(n: int, mode: Mode) -> SubalgebraPoset:
+    eye = np.eye(n)
+    return SubalgebraPoset(BooleanContext([np.outer(eye[i], eye[i]) for i in range(n)]), mode)
+
+
+@st.composite
+def node_cases(draw):
+    """A poset of at most 5 atoms in either mode, its nodes listed
+    independently of the poset, and one node."""
+    mode = draw(st.sampled_from(MODES))
+    n = draw(st.integers(1 if mode is Mode.WITH_CONSTANTS else 2, 5))
+    nodes = sorted(admissible_partitions(n, mode))
+    return diag_poset(n, mode), n, mode, nodes, draw(st.sampled_from(nodes))
+
+
+class TestSubalgebraSecondRoute:
+    """The poset and its truth values against plain-frozenset brute force."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(node_cases())
+    def test_down_set_and_leq(self, case):
+        poset, n, mode, nodes, w = case
+        assert list(poset.nodes) == nodes
+        down = brute_subalgebras(n, mode, w)
+        assert poset.down_set(w) == down
+        assert [poset.leq(q, w) for q in nodes] == [q in down for q in nodes]
+        assert [poset.leq(w, q) for q in nodes] == [w in brute_subalgebras(n, mode, q) for q in nodes]
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_cases(), st.data())
+    def test_restrict(self, case, data):
+        poset, n, mode, nodes, w = case
+        down = brute_subalgebras(n, mode, w)
+        seed = data.draw(st.sets(st.sampled_from(sorted(down)), max_size=4))
+        members = frozenset(q for p in seed for q in brute_subalgebras(n, mode, p))
+        s = SubalgebraSieve(poset, w, members)
+        assert s.members == members and len(s) == len(members) and list(s) == sorted(members)
+        assert s.is_true == (members == down) and s.is_false == (not members)
+        assert s == SubalgebraSieve(poset, w, sorted(members))
+        w2 = data.draw(st.sampled_from(nodes))
+        if w2 in down:
+            r = s.restrict(w2)
+            assert r.base == w2
+            assert r.members == members & brute_subalgebras(n, mode, w2)
+        else:
+            with pytest.raises(NotSubalgebraError):
+                s.restrict(w2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_cases(), st.data())
+    def test_constructor_rejects(self, case, data):
+        poset, n, mode, nodes, w = case
+        down = brute_subalgebras(n, mode, w)
+        chosen = frozenset(data.draw(st.sets(st.sampled_from(nodes), max_size=6)))
+        if not chosen <= down:
+            with pytest.raises(InputError, match="not a subalgebra of the base"):
+                SubalgebraSieve(poset, w, chosen)
+        elif all(brute_subalgebras(n, mode, p) <= chosen for p in chosen):
+            assert SubalgebraSieve(poset, w, chosen).members == chosen
+        else:
+            with pytest.raises(InputError, match="missing"):
+                SubalgebraSieve(poset, w, chosen)
+        with pytest.raises(InputError, match="not a subalgebra of the base"):
+            SubalgebraSieve(poset, w, [Partition.discrete(n + 1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_cases(), st.integers(0, 2**32 - 1), st.data())
+    def test_valuation_sieve_block_mass(self, case, seed, data):
+        poset, n, mode, nodes, w = case
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) * (rng.random(n) < 0.7)
+        if not weights.any():
+            weights[int(rng.integers(n))] = 1.0
+        weights = weights / weights.sum()
+        rho = QuantumState.density(np.diag(weights))
+        chosen = data.draw(st.sets(st.integers(0, w.n_blocks - 1)))
+        alpha = frozenset(i for j in chosen for i in w.blocks[j])
+        got = valuation_sieve(rho, poset, w, alpha)
+        assert got.base == w
+        want = brute_valuation_sieve(n, mode, w, alpha, [float(x) for x in weights], 1.0 - DEFAULT_TOL.tau_one)
+        assert got.members == want
+
+    def test_audits_pass_without_constants(self):
+        poset = SubalgebraPoset(rand_basis_context(np.random.default_rng(73), 4), Mode.WITHOUT_CONSTANTS)
+        assert len(poset.nodes) == bell_number(4) - 1
+        assert check_coarsening_axioms(poset).ok
+        rng = np.random.default_rng(74)
+        for _ in range(3):
+            assert check_restriction_compatibility(rand_density_state(rng, 4), poset).ok
