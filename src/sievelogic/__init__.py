@@ -61,9 +61,7 @@ from .valuations import (
     check_functional_rule,
     check_naturality,
     compare_direct_vs_induced,
-    evaluate,
     extract_partial,
-    negation,
 )
 from .contexts import (
     BooleanContext,
@@ -83,7 +81,6 @@ from .categories import (
     SectionAssignment,
     TwoValuedHom,
     check_indicator_naturality,
-    coarse_value,
     detect_relations,
     restrict_hom,
     search_global_section,

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .contexts import BooleanContext
 from .errors import InputError, NotSubalgebraError
 from .report import Report
-from .sieves import CoarseGraining, Mode, Partition, admissible_partitions
+from .sieves import CoarseGraining, Mode, Partition, _lattice
 from .spectral import (
     DEFAULT_TOL,
     SpectralOperator,
@@ -35,12 +35,6 @@ def spectral_algebra(a: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Bool
     return BooleanContext(a.projectors, tol)
 
 
-def coarse_value(f: CoarseGraining, index: int) -> float:
-    """The value a coarse-graining takes on one eigenvalue index of its
-    base: the label of the block containing the index."""
-    return f.value_at(index)
-
-
 class CoarseGrainingLattice:
     """All coarse-grainings of one observable, one per spectrum
     partition, each with a representative coarse observable labeled by
@@ -51,18 +45,20 @@ class CoarseGrainingLattice:
     corresponds to composing value maps.
     """
 
-    __slots__ = ("top", "mode", "objects", "tol", "_ops")
+    __slots__ = ("top", "mode", "objects", "tol", "_index", "_ops")
 
     def __init__(self, top: SpectralOperator, mode: Mode = Mode.WITH_CONSTANTS, tol: Tolerances = DEFAULT_TOL):
         self.top = top
         self.mode = mode
         self.tol = tol
-        self.objects = tuple(sorted(admissible_partitions(top.k, mode)))
+        lattice = _lattice(top.k, mode)
+        self.objects = lattice.parts
+        self._index = lattice.index
         self._ops: dict[Partition, SpectralOperator] = {}
 
     def operator_at(self, p: Partition) -> SpectralOperator:
         """The representative coarse observable of one object."""
-        if p not in self.objects:
+        if p not in self._index:
             raise InputError(f"partition {p} is not an object of this lattice")
         op = self._ops.get(p)
         if op is None:
@@ -73,7 +69,7 @@ class CoarseGrainingLattice:
     def arrow(self, p: Partition) -> CoarseGraining:
         """The canonical coarse-graining from the object at p into the
         top observable."""
-        if p not in self.objects:
+        if p not in self._index:
             raise InputError(f"partition {p} is not an object of this lattice")
         return CoarseGraining(p, tuple(float(i) for i in range(p.n_blocks)), base=self.top)
 

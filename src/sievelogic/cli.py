@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -37,15 +37,7 @@ from .contexts import BooleanContext, context_from_vectors
 from .errors import InputError, SieveLogicError
 from .ks_search import ContextFamily, minimal_uncolorable_subfamily, search_dual_section
 from .sieves import Mode, Partition, Sieve, all_partitions, lattice_dot, up_closure
-from .spectral import (
-    DEFAULT_TOL,
-    QuantumState,
-    SpectralOperator,
-    Tolerances,
-    as_matrix,
-    decompose,
-    from_spectral_data,
-)
+from .spectral import QuantumState, SpectralOperator, Tolerances, decompose, from_spectral_data
 from .valuations import (
     GeneralizedValuation,
     PartialValuation,
@@ -143,7 +135,7 @@ def _merge_tolerances(data: dict, cli_overrides: tuple[str, ...]) -> Tolerances:
     file_part = data.get("tolerances", {})
     if not isinstance(file_part, dict):
         raise InputError("tolerances: expected an object")
-    tol = Tolerances.from_mapping(file_part)
+    tol = Tolerances().replace(**file_part)
     pairs = {}
     for item in cli_overrides:
         key, sep, val = item.partition("=")
@@ -218,12 +210,7 @@ def dump_system(system: SystemData) -> str:
     data: dict = {"format": SYSTEM_FORMAT, "dimension": system.dimension}
     if system.mode is not None:
         data["mode"] = system.mode.value
-    data["tolerances"] = {
-        name: getattr(system.tol, name)
-        for name in (
-            "tau_herm", "tau_proj", "tau_rec", "tau_psd", "tau_tr", "tau_one", "eps_group",
-        )
-    }
+    data["tolerances"] = asdict(system.tol)
     data["operators"] = {
         name: {
             "eigenvalues": list(op.eigenvalues),
@@ -307,20 +294,11 @@ def _resolve_mode(flag: Optional[str], system: SystemData) -> Mode:
     raise InputError("no sieve mode: pass --mode o|ostar or set \"mode\" in the file")
 
 
-def _get_operator(system: SystemData, name: str) -> SpectralOperator:
-    if name not in system.operators:
-        raise InputError(
-            f"unknown operator {name!r}; available: {', '.join(sorted(system.operators))}"
-        )
-    return system.operators[name]
-
-
-def _get_state(system: SystemData, name: str) -> QuantumState:
-    if name not in system.states:
-        raise InputError(
-            f"unknown state {name!r}; available: {', '.join(sorted(system.states))}"
-        )
-    return system.states[name]
+def _lookup(table: dict, kind: str, name: str):
+    """The named operator or state of a system file."""
+    if name not in table:
+        raise InputError(f"unknown {kind} {name!r}; available: {', '.join(sorted(table))}")
+    return table[name]
 
 
 def build_valuation(spec: str, system: SystemData, mode: Mode) -> GeneralizedValuation:
@@ -328,7 +306,7 @@ def build_valuation(spec: str, system: SystemData, mode: Mode) -> GeneralizedVal
     partial:<operator>=<eigenvalue>."""
     head, _, rest = spec.partition(":")
     if head == "state" and rest:
-        return GeneralizedValuation.from_state(_get_state(system, rest), mode, system.tol)
+        return GeneralizedValuation.from_state(_lookup(system.states, "state", rest), mode, system.tol)
     if head == "threshold" and rest:
         name, sep, r_text = rest.rpartition(":")
         if not sep:
@@ -337,12 +315,12 @@ def build_valuation(spec: str, system: SystemData, mode: Mode) -> GeneralizedVal
             r = float(r_text)
         except ValueError:
             raise InputError(f"threshold spec: not a number: {r_text!r}") from None
-        return GeneralizedValuation.threshold(_get_state(system, name), r, mode, system.tol)
+        return GeneralizedValuation.threshold(_lookup(system.states, "state", name), r, mode, system.tol)
     if head == "partial" and rest:
         name, sep, v_text = rest.partition("=")
         if not sep:
             raise InputError("partial spec: expected partial:<operator>=<eigenvalue>")
-        op = _get_operator(system, name)
+        op = _lookup(system.operators, "operator", name)
         try:
             value = float(v_text)
         except ValueError:
@@ -372,7 +350,7 @@ def parse_proposition(
     if not m:
         raise InputError(f"bad proposition {text!r}; expected \"<operator> in {{v1,v2}}\"")
     name, body = m.group(1), m.group(2)
-    op = _get_operator(system, name)
+    op = _lookup(system.operators, "operator", name)
     entries = [s.strip() for s in body.split(",") if s.strip()]
     if by_index:
         try:
@@ -482,7 +460,7 @@ def cmd_axioms(system_file, valuation, only, mode_flag, as_json, tol):
         names = [only] if only else list(system.operators)
         reports = []
         for name in names:
-            op = _get_operator(system, name)
+            op = _lookup(system.operators, "operator", name)
             rep = check_axioms(nu, op)
             rep.title = f"{name}: {rep.title}"
             reports.append(rep)
@@ -583,7 +561,7 @@ def cmd_dot(system_file, operator_name, valuation, proposition, mode_flag, by_in
     try:
         system = load_system(system_file, tol)
         mode = _resolve_mode(mode_flag, system)
-        op = _get_operator(system, operator_name)
+        op = _lookup(system.operators, "operator", operator_name)
         sieve = None
         if (valuation is None) != (proposition is None):
             raise InputError("--valuation and --proposition go together")

@@ -30,9 +30,9 @@ from .spectral import (
     DEFAULT_TOL,
     QuantumState,
     Tolerances,
+    _check_resolution,
+    _subset_sum,
     as_matrix,
-    is_hermitian,
-    max_abs,
 )
 
 Element = frozenset[int]
@@ -56,22 +56,9 @@ class BooleanContext:
         if not mats:
             raise InputError("a Boolean context needs at least one atom")
         dim = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise InputError("atoms differ in dimension")
-            if not is_hermitian(m, tol.tau_herm):
-                raise InputError(f"atom {i} is not Hermitian")
-            if max_abs(m @ m - m) > tol.tau_proj:
-                raise InputError(f"atom {i} is not idempotent")
-            if max_abs(m) <= tol.tau_proj:
-                raise InputError(f"atom {i} is zero")
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if max_abs(mats[i] @ mats[j]) > tol.tau_proj:
-                    raise InputError(f"atoms {i} and {j} are not orthogonal")
-        total = sum(mats)
-        if max_abs(total - np.eye(dim)) > tol.tau_proj:
-            raise InputError("atoms do not sum to the identity")
+        if any(m.shape != (dim, dim) for m in mats):
+            raise InputError("atoms differ in dimension")
+        _check_resolution(mats, tol, "atom")
         for m in mats:
             m.setflags(write=False)
         self.atoms = tuple(mats)
@@ -84,19 +71,14 @@ class BooleanContext:
 
     def element(self, indices: Iterable[int]) -> np.ndarray:
         """The subset-sum projector over the given atom indices."""
-        idx = set(indices)
-        if any(i < 0 or i >= self.n_atoms for i in idx):
-            raise InputError(f"atom index outside 0..{self.n_atoms - 1}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in idx:
-            out = out + self.atoms[i]
-        return out
+        return _subset_sum(self.atoms, set(indices), "atom")
 
     def elements(self):
         """All (index set, projector) pairs of the algebra."""
         for n in range(self.n_atoms + 1):
             for combo in itertools.combinations(range(self.n_atoms), n):
-                yield frozenset(combo), self.element(combo)
+                idx = frozenset(combo)
+                yield idx, _subset_sum(self.atoms, idx, "atom")
 
     def __repr__(self):
         return f"BooleanContext(dim={self.dim}, atoms={self.n_atoms})"
@@ -125,7 +107,7 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_lattice", "_down")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_down", "_weights")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
@@ -133,9 +115,7 @@ class SubalgebraPoset:
         self._lattice = _lattice(top.n_atoms, mode)
         self.nodes = self._lattice.parts
         self._down = {}
-
-    def contains(self, w: Partition) -> bool:
-        return w in self._lattice.index
+        self._weights = {}
 
     def _require(self, w: Partition) -> int:
         i = self._lattice.index.get(w)
@@ -169,8 +149,13 @@ class SubalgebraPoset:
         alpha = frozenset(alpha)
         return alpha <= frozenset(range(self.top.n_atoms)) and _image(w, alpha) == alpha
 
-    def element_matrix(self, alpha: Element) -> np.ndarray:
-        return self.top.element(alpha)
+    def weights(self, rho: QuantumState) -> tuple[float, ...]:
+        """The state's probability of each top atom, computed once per
+        state and kept for the life of the poset."""
+        hit = self._weights.get(rho)
+        if hit is None:
+            hit = self._weights[rho] = rho.weights(self.top.atoms)
+        return hit
 
     def node_context(self, w: Partition) -> BooleanContext:
         """The node as a standalone context with block-sum atoms."""
@@ -331,11 +316,6 @@ def true_w(poset: SubalgebraPoset, w: Partition) -> SubalgebraSieve:
     return SubalgebraSieve._at(poset, i, poset._lattice.up[i])
 
 
-def _atom_weights(rho: QuantumState, poset: SubalgebraPoset, tol: Tolerances) -> tuple[float, ...]:
-    d = rho.density_matrix()
-    return tuple(float(np.trace(d @ p).real) for p in poset.top.atoms)
-
-
 def _sieve_from_weights(
     poset: SubalgebraPoset, w: Partition, alpha: Element, weights: Sequence[float], tol: Tolerances
 ) -> SubalgebraSieve:
@@ -357,7 +337,7 @@ def valuation_sieve(
     matrix."""
     if not poset.is_element(w, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w}")
-    return _sieve_from_weights(poset, w, alpha, _atom_weights(rho, poset, tol), tol)
+    return _sieve_from_weights(poset, w, alpha, poset.weights(rho), tol)
 
 
 def check_local_valuation(
@@ -400,7 +380,7 @@ def check_restriction_compatibility(
     truth value at w2 of the coarse-grained element must equal the
     restriction of the truth value at w1."""
     report = Report("restriction compatibility")
-    weights = _atom_weights(rho, poset, tol)
+    weights = poset.weights(rho)
     for w1 in poset.nodes:
         elements = poset.elements(w1)
         sieves = {

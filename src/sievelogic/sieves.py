@@ -110,9 +110,6 @@ class Partition:
                 owner[i] = pos
         return all(len({owner[i] for i in b}) == 1 for b in other.blocks)
 
-    def refines(self, other: "Partition") -> bool:
-        return other.coarsens(self)
-
     def merge_blocks(self, grouping: "Partition") -> "Partition":
         """Coarsen by merging blocks as grouped by a partition of the
         block-index range {0..n_blocks-1}."""
@@ -473,19 +470,15 @@ def mass_sieve(
 # -- DOT export ------------------------------------------------------
 
 def covering_pairs(k: int, mode: Mode) -> list[tuple[Partition, Partition]]:
-    """Hasse edges of the coarsening order: (finer, coarser) with the
-    coarser obtained by merging exactly two blocks."""
-    edges = []
-    admissible = admissible_partitions(k, mode)
-    for p in sorted(admissible):
-        nb = p.n_blocks
-        for a in range(nb):
-            for b in range(a + 1, nb):
-                group = [[x] for x in range(nb) if x not in (a, b)] + [[a, b]]
-                q = p.merge_blocks(Partition.of(group))
-                if q in admissible:
-                    edges.append((p, q))
-    return sorted(edges)
+    """Hasse edges of the coarsening order, sorted: (finer, coarser)
+    with the coarser an admissible coarsening with one block fewer."""
+    lattice = _lattice(k, mode)
+    return [
+        (p, lattice.parts[j])
+        for p, up in zip(lattice.parts, lattice.up)
+        for j in _bits(up)
+        if lattice.parts[j].n_blocks == p.n_blocks - 1
+    ]
 
 
 def lattice_dot(
@@ -507,7 +500,7 @@ def lattice_dot(
         return p.format(values, fmt) if values is not None else str(p)
 
     lines = ["digraph partition_lattice {", "  rankdir=BT;", '  node [shape=box];']
-    for p in sorted(admissible_partitions(k, mode)):
+    for p in _lattice(k, mode).parts:
         attrs = f'label="{label(p)}"'
         if sieve is not None and p in sieve:
             attrs += ', style=filled, fillcolor="lightblue"'

@@ -11,8 +11,9 @@ Matrix closeness is always measured in the max-abs entry norm.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,10 +44,6 @@ class Tolerances:
         if bad:
             raise InputError(f"unknown tolerance key(s): {', '.join(sorted(bad))}")
         return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def from_mapping(cls, overrides: Mapping[str, float]) -> "Tolerances":
-        return cls().replace(**overrides)
 
 
 DEFAULT_TOL = Tolerances()
@@ -93,6 +90,36 @@ def is_projector(p: np.ndarray, tol: float) -> bool:
 def projector_leq(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """Projector order: p <= q iff q absorbs p (q p = p)."""
     return max_abs(q @ p - p) <= tol
+
+
+def _check_resolution(mats: Sequence[np.ndarray], tol: Tolerances, noun: str) -> None:
+    """Raise InputError naming the first way the matrices fail to be
+    nonzero, mutually orthogonal projectors that sum to the identity."""
+    for i, m in enumerate(mats):
+        if not is_hermitian(m, tol.tau_herm):
+            raise InputError(f"{noun} {i} is not Hermitian")
+        if max_abs(m @ m - m) > tol.tau_proj:
+            raise InputError(f"{noun} {i} is not idempotent")
+        if max_abs(m) <= tol.tau_proj:
+            raise InputError(f"{noun} {i} is zero")
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        if max_abs(mats[i] @ mats[j]) > tol.tau_proj:
+            raise InputError(f"{noun}s {i} and {j} are not orthogonal")
+    if max_abs(sum(mats) - np.eye(mats[0].shape[0])) > tol.tau_proj:
+        raise InputError(f"{noun}s do not sum to the identity")
+
+
+def _subset_sum(mats: Sequence[np.ndarray], idx: AbstractSet[int], noun: str) -> np.ndarray:
+    """The sum of mats[i] over a set of distinct indices, added in
+    ascending index order."""
+    n = len(mats)
+    if any(i < 0 or i >= n for i in idx):
+        raise InputError(f"{noun} index outside 0..{n - 1}")
+    out = np.zeros(mats[0].shape, dtype=complex)
+    for i in range(n):
+        if i in idx:
+            out += mats[i]
+    return out
 
 
 def cluster_values(values: Sequence[float], eps: float) -> list[list[int]]:
@@ -143,17 +170,7 @@ class SpectralOperator:
             raise InputError("eigenvalues must be strictly increasing")
         if not is_hermitian(matrix, tol.tau_herm):
             raise NotHermitianError(f"operator matrix not Hermitian within {tol.tau_herm:g}")
-        for p in projectors:
-            if not is_projector(p, tol.tau_proj):
-                raise InputError("spectral projector fails Hermitian idempotence")
-            if abs(np.trace(p).real) < 0.5:
-                raise InputError("zero spectral projector")
-        for i, p in enumerate(projectors):
-            for q in projectors[i + 1 :]:
-                if max_abs(p @ q) > tol.tau_proj:
-                    raise InputError("spectral projectors not mutually orthogonal")
-        if max_abs(sum(projectors) - np.eye(dim)) > tol.tau_proj:
-            raise InputError("spectral projectors do not resolve the identity")
+        _check_resolution(projectors, tol, "spectral projector")
         resum = sum(v * p for v, p in zip(eigenvalues, projectors))
         if max_abs(resum - matrix) > tol.tau_rec:
             raise InputError("spectral data does not reconstruct the matrix")
@@ -169,13 +186,7 @@ class SpectralOperator:
 
     def projector(self, indices) -> np.ndarray:
         """Spectral projector for a set of eigenvalue indices."""
-        idx = sorted(set(indices))
-        if any(i < 0 or i >= self.k for i in idx):
-            raise InputError(f"eigenvalue index outside 0..{self.k - 1}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in idx:
-            out = out + self.projectors[i]
-        return out
+        return _subset_sum(self.projectors, set(indices), "eigenvalue")
 
     def eigenvalue_index(self, value: float, eps: float) -> int:
         """Index of the eigenvalue matching `value` within eps."""
@@ -190,19 +201,18 @@ class SpectralOperator:
         return f"SpectralOperator(dim={self.dim}, eigenvalues=[{vals}])"
 
 
-def decompose(m, tol: Tolerances = DEFAULT_TOL, eps_group: Optional[float] = None) -> SpectralOperator:
+def decompose(m, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     """Resolve a Hermitian matrix into clustered eigenvalues and projectors.
 
-    Raw eigenvalues within eps_group of each other merge into a single
+    Raw eigenvalues within tol.eps_group of each other merge into a single
     spectral point whose projector sums the corresponding eigenspaces.
     """
-    eps = tol.eps_group if eps_group is None else eps_group
-    if eps <= 0:
+    if tol.eps_group <= 0:
         raise InputError("eps_group must be positive")
     m = as_matrix(m)
     herm = require_hermitian(m, tol.tau_herm)
     raw, vecs = np.linalg.eigh(herm)
-    groups = cluster_values([float(v) for v in raw], eps)
+    groups = cluster_values([float(v) for v in raw], tol.eps_group)
     eigenvalues = []
     projectors = []
     for g in groups:
@@ -219,8 +229,10 @@ def from_spectral_data(
     tol: Tolerances = DEFAULT_TOL,
 ) -> SpectralOperator:
     """Build an operator from exact spectral data, bypassing the eigensolver."""
-    matrix = sum(float(v) * as_matrix(p) for v, p in zip(eigenvalues, projectors))
-    return SpectralOperator(matrix, eigenvalues, projectors, tol)
+    mats = [as_matrix(p) for p in projectors]
+    if len({m.shape for m in mats}) > 1:
+        raise InputError("spectral projectors differ in dimension")
+    return SpectralOperator(sum(float(v) * m for v, m in zip(eigenvalues, mats)), eigenvalues, mats, tol)
 
 
 def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
@@ -356,10 +368,21 @@ class QuantumState:
             return self.payload / self.rank
         return self.payload
 
+    def weights(self, projectors: Iterable[np.ndarray]) -> tuple[float, ...]:
+        """The probability tr(rho P) of each projector, with the density
+        matrix rho computed once."""
+        d = self.density_matrix()
+        out = []
+        for p in projectors:
+            if np.shape(p) != d.shape:
+                raise InputError(f"projector shape {np.shape(p)} does not match state dimension {self.dim}")
+            out.append(float(np.trace(d @ p).real))
+        return tuple(out)
+
 
 def prob(s: QuantumState, p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Probability the state assigns to a projector."""
     p = as_matrix(p, s.dim)
     if not is_projector(p, tol.tau_proj):
         raise InputError("prob expects a Hermitian idempotent")
-    return float(np.trace(s.density_matrix() @ p).real)
+    return s.weights([p])[0]

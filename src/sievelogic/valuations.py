@@ -43,7 +43,6 @@ from .spectral import (
     ValueMap,
     apply_function,
     is_function_of,
-    prob,
     value_fibers,
 )
 
@@ -184,26 +183,11 @@ class GeneralizedValuation:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
 
-    @property
-    def _cutoff(self) -> float:
-        r = self.r if self.kind == "threshold" else 1.0
-        return r - self.tol.tau_one
-
-    def _state_weights(self, a: SpectralOperator) -> tuple[float, ...]:
-        key = id(a)
-        hit = self._weights.get(key)
-        if hit is None:
-            w = tuple(prob(self.state, p, self.tol) for p in a.projectors)
-            hit = (a, w)
-            self._weights[key] = hit
-        return hit[1]
-
     def _partial_cell(self, a: SpectralOperator, p: Partition) -> tuple[bool, int]:
         """Whether the canonical coarse observable for (a, p) lies in the
         partial valuation's domain, and which block its value selects."""
-        key = (id(a), p)
-        hit = self._partial_cells.get(key)
-        if hit is None:
+        cell = self._partial_cells.get((a, p))
+        if cell is None:
             b = apply_function(a, [p.block_of(i) for i in range(a.k)], self.tol)
             v = self.partial.locate(b)
             if v is None:
@@ -213,14 +197,12 @@ class GeneralizedValuation:
                 if abs(v - j) > self.tol.eps_group or not 0 <= j < p.n_blocks:
                     raise InputError(f"partial valuation returned a non-spectral value {v!r}")
                 cell = (True, j)
-            hit = (a, cell)
-            self._partial_cells[key] = hit
-        return hit[1]
+            self._partial_cells[(a, p)] = cell
+        return cell
 
     def evaluate(self, p: Proposition) -> Sieve:
-        key = (id(p.operator), p.indices)
-        hit = self._sieves.get(key)
-        if hit is None:
+        sieve = self._sieves.get(p)
+        if sieve is None:
             a = p.operator
             if self.kind == "partial":
                 members = []
@@ -230,14 +212,12 @@ class GeneralizedValuation:
                         members.append(q)
                 sieve = Sieve(a.k, self.mode, members)
             else:
-                sieve = mass_sieve(a.k, self.mode, p.indices, self._state_weights(a), self._cutoff)
-            hit = (a, sieve)
-            self._sieves[key] = hit
-        return hit[1]
-
-
-def evaluate(nu: GeneralizedValuation, p: Proposition) -> Sieve:
-    return nu.evaluate(p)
+                weights = self._weights.get(a)
+                if weights is None:
+                    weights = self._weights[a] = self.state.weights(a.projectors)
+                sieve = mass_sieve(a.k, self.mode, p.indices, weights, self.r - self.tol.tau_one)
+            self._sieves[p] = sieve
+        return sieve
 
 
 class DisjunctionStrength(Enum):
@@ -246,19 +226,15 @@ class DisjunctionStrength(Enum):
 
 
 def check_functional_rule(
-    nu: GeneralizedValuation,
-    a: SpectralOperator,
-    h: ValueMap,
-    delta: Iterable[int],
-    coarse: Optional[SpectralOperator] = None,
+    nu: GeneralizedValuation, a: SpectralOperator, h: ValueMap, delta: Iterable[int]
 ) -> Report:
     """Compatibility of the valuation with one coarse-graining: the sieve
     of the coarsened proposition must be the pullback of the original
-    sieve.  `coarse` may pass a prebuilt h(a) to share caches."""
+    sieve."""
     report = Report("functional rule")
     fibers, labels = value_fibers(a, h, nu.tol)
     cg = CoarseGraining(fibers, labels, base=a)
-    b = apply_function(a, h, nu.tol) if coarse is None else coarse
+    b = apply_function(a, h, nu.tol)
     idx = frozenset(delta)
     lhs = nu.evaluate(Proposition(b, cg.image_indices(idx)))
     rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
@@ -317,11 +293,6 @@ def check_disjunction_strength(
     return DisjunctionStrength.EQUALITY if union == joined else DisjunctionStrength.STRICT_INEQUALITY
 
 
-def negation(nu: GeneralizedValuation, p: Proposition) -> Sieve:
-    """Heyting negation of the proposition's sieve."""
-    return nu.evaluate(p).neg()
-
-
 def extract_partial(
     nu: GeneralizedValuation, family: Sequence[SpectralOperator]
 ) -> PartialValuation:
@@ -365,20 +336,16 @@ def compare_direct_vs_induced(
 
     The induced variant admits a coarse-graining only when the state is
     an actual eigenvector of the coarse observable, with the eigenvalue
-    landing in the coarsened subset.  It always refines the direct sieve
-    and coincides with it on singleton subsets.
+    landing in the coarsened subset: it is the join, over i in the
+    subset, of the direct sieves of the singletons {i}.  It always
+    refines the direct sieve and coincides with it on singleton subsets.
     """
     nu = GeneralizedValuation.from_state(psi, mode, tol)
     direct = nu.evaluate(p)
     a = p.operator
-    weights = nu._state_weights(a)
-    members = []
-    for q in admissible_partitions(a.k, mode):
-        for block in q.blocks:
-            if p.indices & set(block) and sum(weights[i] for i in block) >= 1.0 - tol.tau_one:
-                members.append(q)
-                break
-    induced = Sieve(a.k, mode, members)
+    induced = Sieve.totally_false(a.k, mode)
+    for i in p.indices:
+        induced = induced.join(nu.evaluate(Proposition(a, frozenset([i]))))
     if not induced.leq(direct):
         raise InputError("induced sieve escapes the direct sieve; weights are inconsistent")
     return SieveComparison(direct, induced)

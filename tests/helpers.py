@@ -158,6 +158,17 @@ def brute_mass_sieve(k: int, mode: Mode, weights, delta, cutoff: float) -> froze
     )
 
 
+def brute_induced_sieve(weights, delta, k: int, mode: Mode, cutoff: float) -> frozenset[Partition]:
+    """Partitions with a single block that meets delta and alone carries
+    weight >= cutoff: the state is an eigenvector of the coarse observable
+    with its eigenvalue in the coarsened subset."""
+    delta = frozenset(delta)
+    return frozenset(
+        p for p in admissible_partitions(k, mode)
+        if any(delta & set(b) and sum(weights[i] for i in b) >= cutoff for b in p.blocks)
+    )
+
+
 def up_closed_sieve(k: int, mode: Mode, members: frozenset[Partition]) -> Sieve:
     return Sieve(k, mode, members)
 

@@ -16,7 +16,6 @@ from sievelogic import (
     apply_function,
     bell_number,
     check_indicator_naturality,
-    coarse_value,
     compose,
     decompose,
     detect_relations,
@@ -53,16 +52,16 @@ class TestCoarseValue:
         finest = Partition.of([(0,), (1,), (2,)])
         ident = lattice.arrow(finest)
         for i in range(3):
-            assert coarse_value(ident, i) == float(i)
+            assert ident.value_at(i) == float(i)
         one_block = Partition.of([(0, 1, 2)])
         const = lattice.arrow(one_block)
-        assert all(coarse_value(const, i) == 0.0 for i in range(3))
+        assert all(const.value_at(i) == 0.0 for i in range(3))
 
     def test_square_collapse(self, spin1_sx):
         lattice = CoarseGrainingLattice(spin1_sx)
         arrow = lattice.arrow(Partition.of([(0, 2), (1,)]))
-        assert coarse_value(arrow, 0) == coarse_value(arrow, 2) == 0.0
-        assert coarse_value(arrow, 1) == 1.0
+        assert arrow.value_at(0) == arrow.value_at(2) == 0.0
+        assert arrow.value_at(1) == 1.0
 
 
 class TestLattice:
@@ -102,7 +101,7 @@ class TestLattice:
         composed = compose(f1, f2)
         assert composed.partition == direct.partition
         for i in range(4):
-            assert coarse_value(composed, i) == coarse_value(direct, i)
+            assert composed.value_at(i) == direct.value_at(i)
 
     def test_arrow_matrix_consistency(self, spin1_sx):
         # the connecting arrow applied as a value map reproduces the
@@ -112,7 +111,7 @@ class TestLattice:
         coarse = Partition.of([(0, 2), (1,)])
         arrow = lattice.arrow_between(coarse, fine)
         fine_op = lattice.operator_at(fine)
-        rebuilt = apply_function(fine_op, lambda x: coarse_value(arrow, int(round(x))))
+        rebuilt = apply_function(fine_op, lambda x: arrow.value_at(int(round(x))))
         assert max_abs(rebuilt.matrix - lattice.operator_at(coarse).matrix) < 1e-9
 
 

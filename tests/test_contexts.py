@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from sievelogic import (
     DEFAULT_TOL,
     BooleanContext,
+    GeneralizedValuation,
     InputError,
     Mode,
     NotSubalgebraError,
     Partition,
+    Proposition,
     QuantumState,
     admissible_partitions,
     SubalgebraPoset,
@@ -23,6 +25,8 @@ from sievelogic import (
     check_local_valuation,
     check_restriction_compatibility,
     context_from_vectors,
+    decompose,
+    prob,
     spectral_algebra,
     true_w,
     valuation_sieve,
@@ -104,7 +108,7 @@ class TestSubalgebraPoset:
 
     def test_element_matrix_and_node_context(self, poset4):
         w = Partition.of([(0, 1), (2, 3)])
-        assert max_abs(poset4.element_matrix(frozenset([0, 1])) - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
+        assert max_abs(poset4.top.element(frozenset([0, 1])) - np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
         sub = poset4.node_context(w)
         assert sub.n_atoms == 2
 
@@ -226,6 +230,25 @@ class TestValuationSieve:
         psi = QuantumState.vector([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(InputError):
             valuation_sieve(psi, poset4, FINEST4, frozenset([7]))
+
+    def test_state_of_other_dimension_rejected(self):
+        # three atoms on a 4-dimensional space against a 3-dimensional state
+        atoms = [np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+        poset = SubalgebraPoset(BooleanContext(atoms))
+        psi = QuantumState.vector([1.0, 0.0, 0.0])
+        with pytest.raises(InputError):
+            valuation_sieve(psi, poset, FINEST3, frozenset([0]))
+        with pytest.raises(InputError):
+            check_restriction_compatibility(psi, poset)
+        nu = GeneralizedValuation.from_state(psi, Mode.WITH_CONSTANTS)
+        with pytest.raises(InputError):
+            nu.evaluate(Proposition(decompose(np.diag([0.0, 1.0, 2.0, 2.0])), frozenset([0])))
+
+    def test_weights_computed_once_per_state(self, poset4):
+        rho = rand_density_state(np.random.default_rng(7), 4)
+        weights = poset4.weights(rho)
+        assert poset4.weights(rho) is weights
+        assert weights == tuple(prob(rho, a) for a in poset4.top.atoms)
 
 
 class TestLocalValuation:

@@ -66,7 +66,7 @@ class TestPartition:
         mid = Partition.of([[0, 2], [1]])
         top = Partition.one_block(3)
         assert mid.coarsens(fine) and top.coarsens(mid)
-        assert fine.refines(mid) and not mid.coarsens(top)
+        assert mid.coarsens(fine) and not mid.coarsens(top)
         # reflexive, antisymmetric
         assert mid.coarsens(mid)
         assert not (mid.coarsens(top) and top.coarsens(mid))

@@ -3,6 +3,7 @@ import pytest
 
 from sievelogic import (
     DEFAULT_TOL,
+    BooleanContext,
     DegenerateClusteringError,
     InputError,
     NotHermitianError,
@@ -22,6 +23,30 @@ from sievelogic.spectral import max_abs, projector_leq
 from helpers import infimum_oracle, rand_operator, rand_projector_matrix, rand_unitary
 
 
+_E0 = np.diag([1.0, 0.0])
+
+# Projector lists that fail to resolve the identity, with the text the
+# error names: checked by contexts and by spectral data alike.
+MALFORMED_RESOLUTIONS = [
+    ("non-Hermitian", [np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])], "Hermitian"),
+    ("non-idempotent", [np.eye(2) / 2, np.eye(2) / 2], "idempotent"),
+    ("zero", [np.zeros((2, 2)), np.eye(2)], "zero"),
+    ("overlapping", [_E0, np.ones((2, 2)) / 2], "orthogonal"),
+    ("not summing to I", [_E0], "identity"),
+    ("mixed shapes", [_E0, np.diag([0.0, 1.0, 0.0])], "dimension"),
+]
+
+
+class TestResolutionCheck:
+    @pytest.mark.parametrize("mats, text", [c[1:] for c in MALFORMED_RESOLUTIONS],
+                             ids=[c[0] for c in MALFORMED_RESOLUTIONS])
+    def test_context_and_spectral_data_reject(self, mats, text):
+        with pytest.raises(InputError, match=text):
+            BooleanContext(mats)
+        with pytest.raises(InputError, match=text):
+            from_spectral_data(np.arange(len(mats), dtype=float), mats)
+
+
 class TestTolerances:
     def test_defaults(self):
         assert DEFAULT_TOL.tau_one == 1e-9
@@ -33,7 +58,7 @@ class TestTolerances:
 
     def test_from_mapping_rejects_unknown(self):
         with pytest.raises(InputError):
-            Tolerances.from_mapping({"tau_bogus": 1.0})
+            Tolerances().replace(**{"tau_bogus": 1.0})
 
     def test_replace_rejects_unknown(self):
         with pytest.raises(InputError):

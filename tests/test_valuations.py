@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelogic import (
     DEFAULT_TOL,
@@ -24,9 +26,16 @@ from sievelogic import (
     compare_direct_vs_induced,
     decompose,
     extract_partial,
-    negation,
+    from_spectral_data,
 )
-from helpers import rand_density_state, rand_operator, rand_value_map, rand_vector_state
+from helpers import (
+    brute_induced_sieve,
+    rand_density_state,
+    rand_operator,
+    rand_unitary,
+    rand_value_map,
+    rand_vector_state,
+)
 
 
 def sieve_of(nu, op, indices):
@@ -144,7 +153,7 @@ class TestStateValuation:
         # one-block stage, so nothing can imply the empty sieve
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
         for idx in ([0], [1], [2], [0, 1], [0, 2], [0, 1, 2]):
-            assert negation(nu, Proposition(spin1_sx, frozenset(idx))).partitions == frozenset()
+            assert nu.evaluate(Proposition(spin1_sx, frozenset(idx))).neg().partitions == frozenset()
 
     def test_caching_returns_identical_sieve(self, spin1_sx, spin1_psi):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
@@ -333,7 +342,7 @@ class TestDisjunctionStrength:
 class TestFunctionalRule:
     def test_square_map_spin1(self, spin1_sx, spin1_psi, spin1_sx2):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
-        report = check_functional_rule(nu, spin1_sx, lambda x: x * x, [0, 2], coarse=spin1_sx2)
+        report = check_functional_rule(nu, spin1_sx, lambda x: x * x, [0, 2])
         assert report.ok
         # and the coarse proposition itself is totally true for psi
         s = sieve_of(nu, spin1_sx2, [1])
@@ -403,6 +412,52 @@ class TestDirectVsInduced:
         # finer stages only certify the direct one
         assert Partition.of([(0, 2), (1,)]) in cmp.induced.partitions
         assert Partition.of([(0, 1), (2,)]) in cmp.difference
+
+
+@st.composite
+def induced_cases(draw):
+    """An operator with k eigenspaces (dimension k or k+1), a vector or
+    density state supported on a random set of them with weight at least
+    about 0.04 on each, the eigenspace weights computed from the
+    eigenspace bases, and a subset of the spectrum."""
+    k = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from([Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]))
+    kind = draw(st.sampled_from(["vector", "density"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = frozenset(draw(st.sets(st.integers(0, k - 1))))
+    dim = k + int(rng.integers(2))
+    q = rand_unitary(rng, dim)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=k - 1, replace=False)) if k > 1 else []
+    bases = np.split(q, cuts, axis=1)
+    op = from_spectral_data(np.arange(k, dtype=float), [b @ b.conj().T for b in bases])
+    support = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+
+    def vector():
+        v = np.zeros(dim, dtype=complex)
+        for i, w in zip(support, rng.uniform(0.2, 1.0, len(support))):
+            c = rng.normal(size=bases[i].shape[1]) + 1j * rng.normal(size=bases[i].shape[1])
+            v += np.sqrt(w) * (bases[i] @ (c / np.linalg.norm(c)))
+        return v / np.linalg.norm(v)
+
+    if kind == "vector":
+        v = vector()
+        psi = QuantumState.vector(v)
+        weights = [float(np.linalg.norm(b.conj().T @ v) ** 2) for b in bases]
+    else:
+        rho = sum(np.outer(v, v.conj()) for v in (vector(), vector())) / 2.0
+        psi = QuantumState.density(rho)
+        weights = [float(np.trace(b.conj().T @ rho @ b).real) for b in bases]
+    return k, mode, psi, op, weights, delta
+
+
+class TestInducedSecondRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(induced_cases())
+    def test_induced_matches_single_block_definition(self, case):
+        k, mode, psi, op, weights, delta = case
+        cmp = compare_direct_vs_induced(psi, Proposition(op, delta), mode)
+        expected = brute_induced_sieve(weights, delta, k, mode, 1.0 - DEFAULT_TOL.tau_one)
+        assert cmp.induced.partitions == expected
 
 
 class TestNaturality:
