@@ -90,7 +90,6 @@ from .ks_search import (
     ContextFamily,
     DualSectionWitness,
     context_operator,
-    fingerprint,
     minimal_uncolorable_subfamily,
     search_dual_section,
     section_to_partial_valuation,

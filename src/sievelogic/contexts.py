@@ -31,6 +31,7 @@ from .spectral import (
     QuantumState,
     Tolerances,
     _check_resolution,
+    _freeze,
     _subset_sum,
     as_matrix,
 )
@@ -59,9 +60,7 @@ class BooleanContext:
         if any(m.shape != (dim, dim) for m in mats):
             raise InputError("atoms differ in dimension")
         _check_resolution(mats, tol, "atom")
-        for m in mats:
-            m.setflags(write=False)
-        self.atoms = tuple(mats)
+        self.atoms = tuple(_freeze(m) for m in mats)
         self.dim = dim
         self.tol = tol
 

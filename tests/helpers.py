@@ -236,7 +236,7 @@ def brute_valuation_sieve(n: int, mode: Mode, w: Partition, alpha, weights, cuto
 
 def witness_ok_independent(fam: ContextFamily, w: DualSectionWitness) -> bool:
     """Cross-context agreement recheck by direct matrix comparison,
-    without the fingerprint index."""
+    without the class index."""
     items = []
     for ci, ctx in enumerate(fam.contexts):
         for subset, matrix in ctx.elements():
@@ -247,6 +247,42 @@ def witness_ok_independent(fam: ContextFamily, w: DualSectionWitness) -> bool:
         if np.abs(mi - mj).max() < 1e-6 and w.value(ci, si) != w.value(cj, sj):
             return False
     return all(0 <= w.chosen[ci] < ctx.n_atoms for ci, ctx in enumerate(fam.contexts))
+
+
+def brute_dual_section(fam: ContextFamily, chunk: int = 1 << 16):
+    """The first atom choice, in lexicographic order of the full product
+    of choices, that gives equal projectors of different contexts equal
+    0/1 values; None when no choice does.
+
+    Projectors are compared pairwise by max-abs within tau_proj, with no
+    class index and no pruning: every choice is tested against every
+    equal pair, a chunk of the product at a time."""
+    items = [
+        (ci, subset, matrix)
+        for ci, ctx in enumerate(fam.contexts)
+        for subset, matrix in ctx.elements()
+    ]
+    sizes = [ctx.n_atoms for ctx in fam.contexts]
+    pairs = []
+    for (ci, si, mi), (cj, sj, mj) in itertools.combinations(items, 2):
+        if ci == cj or np.abs(mi - mj).max() > fam.tol.tau_proj:
+            continue
+        vi = np.array([a in si for a in range(sizes[ci])])
+        vj = np.array([a in sj for a in range(sizes[cj])])
+        # both sides the same constant (zero or identity): no constraint
+        if (vi.all() and vj.all()) or not (vi.any() or vj.any()):
+            continue
+        pairs.append((ci, vi, cj, vj))
+    total = int(np.prod(sizes))
+    for start in range(0, total, chunk):
+        cols = np.unravel_index(np.arange(start, min(total, start + chunk)), sizes)
+        ok = np.ones(len(cols[0]), dtype=bool)
+        for ci, vi, cj, vj in pairs:
+            ok &= vi[cols[ci]] == vj[cols[cj]]
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            return tuple(int(c[hit[0]]) for c in cols)
+    return None
 
 
 def section_ok_independent(family, assignment: SectionAssignment) -> bool:
@@ -263,15 +299,15 @@ def section_ok_independent(family, assignment: SectionAssignment) -> bool:
 
 def ks_operator_family(fam: ContextFamily):
     """Observables encoding a context family: one per context with
-    eigenvalue i on atom i, plus one 0/1 observable per distinct ray."""
-    from sievelogic import context_operator, fingerprint
+    eigenvalue i on atom i, plus one 0/1 observable per distinct ray,
+    rays told apart by max-abs distance above tau_proj."""
+    from sievelogic import context_operator
 
     ops = [context_operator(ctx) for ctx in fam.contexts]
-    seen = {}
+    rays = []
     for ctx in fam.contexts:
         for atom in ctx.atoms:
-            fp = fingerprint(atom)
-            if fp not in seen:
-                eye = np.eye(ctx.dim, dtype=complex)
-                seen[fp] = from_spectral_data((0.0, 1.0), (eye - atom, atom))
-    return ops + list(seen.values())
+            if all(np.abs(atom - r).max() > fam.tol.tau_proj for r in rays):
+                rays.append(atom)
+    eye = np.eye(fam.dim, dtype=complex)
+    return ops + [from_spectral_data((0.0, 1.0), (eye - r, r)) for r in rays]

@@ -96,6 +96,16 @@ class TestEval:
         res = run(runner, "eval", "spin_one", "-v", "state:psi", "-p", "Sx in {1}", "--tol", "tau_bogus=1")
         assert res.exit_code == 2
 
+    def test_non_numeric_file_tolerance_exits_2(self, runner, tmp_path):
+        data = json.loads(dump_system(load_system("spin_one")))
+        for bad in ("abc", True, None, [1e-9]):
+            data["tolerances"] = {"tau_one": bad}
+            f = tmp_path / "badtol.json"
+            f.write_text(json.dumps(data))
+            res = run(runner, "eval", str(f), "-v", "state:psi", "-p", "Sx in {1}")
+            assert res.exit_code == 2
+            assert "tau_one" in res.stderr
+
     def test_missing_mode_exits_2(self, runner, tmp_path):
         data = json.loads(dump_system(load_system("spin_half")))
         del data["mode"]

@@ -69,6 +69,14 @@ class TestBooleanContext:
             # does not resolve the identity
             BooleanContext([np.diag([1.0, 0.0])])
 
+    def test_caller_arrays_stay_writable(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        ctx = BooleanContext([a, b])
+        a[0, 0] = 5.0
+        assert ctx.atoms[0][0, 0] == 1.0
+        assert not ctx.atoms[0].flags.writeable
+
     def test_element_index_guard(self, diag_context_4):
         with pytest.raises(InputError):
             diag_context_4.element([4])

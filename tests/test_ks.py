@@ -1,9 +1,11 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from sievelogic import (
+    DEFAULT_TOL,
     BooleanContext,
     ContextFamily,
     DualSectionWitness,
@@ -11,12 +13,12 @@ from sievelogic import (
     StillColorableError,
     context_from_vectors,
     context_operator,
-    fingerprint,
     minimal_uncolorable_subfamily,
     search_dual_section,
     section_to_partial_valuation,
 )
-from helpers import rand_basis_context, witness_ok_independent
+from sievelogic.ks_search import _projector_classes
+from helpers import brute_dual_section, rand_basis_context, rand_unitary, witness_ok_independent
 
 
 def diag_context(bits):
@@ -25,19 +27,38 @@ def diag_context(bits):
     return BooleanContext([np.diag([1.0 if i == j else 0.0 for i in range(bits)]) for j in range(bits)])
 
 
+def class_of(fam, ci, subset):
+    """The class id of one subset-sum projector of one context."""
+    return next(
+        cid for cid, entries in fam.index.items() if (ci, frozenset(subset)) in entries
+    )
+
+
+def pair_family(a, b, tol=DEFAULT_TOL):
+    """Two two-atom contexts whose first atoms are a and b."""
+    eye = np.eye(2)
+    return ContextFamily(
+        [BooleanContext([a, eye - a], tol), BooleanContext([b, eye - b], tol)], tol
+    )
+
+
 class TestFingerprint:
     def test_equal_up_to_noise(self):
         a = np.diag([1.0, 0.0])
         b = a + np.array([[1e-9, 1e-10], [-1e-10, -1e-9]])
-        assert fingerprint(a) == fingerprint(b)
+        # b is a projector only to about 1e-9, so identify at 1e-8
+        fam = pair_family(a, b, DEFAULT_TOL.replace(tau_proj=1e-8))
+        assert class_of(fam, 0, [0]) == class_of(fam, 1, [0])
 
     def test_distinct(self):
-        assert fingerprint(np.diag([1.0, 0.0])) != fingerprint(np.diag([0.0, 1.0]))
+        fam = pair_family(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert class_of(fam, 0, [0]) != class_of(fam, 1, [0])
+        assert class_of(fam, 0, [0]) == class_of(fam, 1, [1])
 
     def test_negative_zero_and_phase(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         b = np.array([[-0.0, 1.0], [1.0, -0.0]])
-        assert fingerprint(a) == fingerprint(b)
+        assert _projector_classes(np.array([a, b], dtype=complex), DEFAULT_TOL.tau_proj) == [0, 0]
 
 
 class TestContextFamily:
@@ -59,6 +80,26 @@ class TestContextFamily:
         assert by_count[9] == 2
         assert by_count[2] == 36
         assert len(shared) == 38
+
+    def test_projector_on_grid_midpoint_is_shared(self):
+        # sin(2t)/2 sits halfway between two points of a 1e-6 grid, so
+        # the same ray entered as v and as 3.7 v must not be split by
+        # rounding: classes 0, I, P_v and P_u are all shared
+        theta = 0.5 * np.arcsin(2 * 123456.5e-6)
+        v = np.array([np.cos(theta), np.sin(theta)])
+        u = np.array([-np.sin(theta), np.cos(theta)])
+        fam = ContextFamily([context_from_vectors([v, u]), context_from_vectors([3.7 * v, u])])
+        assert len(fam.shared_projectors()) == 4
+        assert class_of(fam, 0, [0]) == class_of(fam, 1, [0])
+
+    def test_identification_reads_tau_proj(self):
+        a = np.diag([1.0, 0.0])
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        b = np.outer([c, s], [c, s])
+        tight = pair_family(a, b)
+        assert class_of(tight, 0, [0]) != class_of(tight, 1, [0])
+        loose = pair_family(a, b, DEFAULT_TOL.replace(tau_proj=1e-5))
+        assert class_of(loose, 0, [0]) == class_of(loose, 1, [0])
 
     def test_single_context_shares_nothing(self):
         fam = ContextFamily([diag_context(3)])
@@ -182,3 +223,102 @@ class TestSectionToValuation:
         op = context_operator(diag_context(4))
         assert op.k == 4
         assert op.eigenvalues == pytest.approx((0.0, 1.0, 2.0, 3.0))
+
+
+RAYS3 = np.array(
+    [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+        (0, 1, 1), (0, 1, -1), (1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
+    ],
+    dtype=float,
+)
+
+
+def ks18_variant(ks18, seed, change):
+    """The bundled 18-ray family rotated by a random unitary and shuffled,
+    with one basis dropped or added again in another atom order."""
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, 4)
+    bases = [[u @ a @ u.conj().T for a in ctx.atoms] for ctx in ks18.family.contexts]
+    j = int(rng.integers(len(bases)))
+    if change == "drop":
+        del bases[j]
+    elif change == "dup":
+        bases.append([bases[j][i] for i in rng.permutation(4)])
+    return ContextFamily([BooleanContext(bases[i]) for i in rng.permutation(len(bases))])
+
+
+def dim3_family(seed, n):
+    """Orthogonal pairs of 13 small integer rays, each completed to a
+    basis by the cross product, rotated and with atoms shuffled; the
+    contexts share rays."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (a, b) for a, b in itertools.combinations(RAYS3, 2) if a @ b == 0
+    ]
+    u = rand_unitary(rng, 3)
+    contexts = []
+    for k in rng.choice(len(pairs), size=n, replace=False):
+        a, b = pairs[k]
+        basis = [a, b, np.cross(a, b)]
+        contexts.append(context_from_vectors([u @ basis[i] for i in rng.permutation(3)]))
+    return ContextFamily(contexts)
+
+
+def shared_occurrences(fam):
+    """The shared classes of a family as sorted occurrence lists, free of
+    class ids."""
+    return sorted(
+        sorted((ci, tuple(sorted(s))) for ci, s in entries)
+        for entries in fam.shared_projectors().values()
+    )
+
+
+def assert_minimal(fam):
+    sub = minimal_uncolorable_subfamily(fam)
+    position = {id(c): j for j, c in enumerate(fam.contexts)}
+    kept = [position[id(c)] for c in sub.contexts]
+    assert kept == sorted(set(kept))
+    assert shared_occurrences(sub) == shared_occurrences(ContextFamily(sub.contexts, sub.tol))
+    assert brute_dual_section(sub) is None
+    for drop in range(len(sub)):
+        rest = ContextFamily([c for j, c in enumerate(sub.contexts) if j != drop], sub.tol)
+        assert brute_dual_section(rest) is not None
+    return sub
+
+
+class TestSecondRoute:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ks18_dropped_basis(self, ks18, seed):
+        fam = ks18_variant(ks18, seed, "drop")
+        w = search_dual_section(fam)
+        assert w is not None
+        assert w.chosen == brute_dual_section(fam)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ks18_duplicated_basis(self, ks18, seed):
+        fam = ks18_variant(ks18, seed, "dup")
+        assert search_dual_section(fam) is None
+        assert brute_dual_section(fam) is None
+        assert len(assert_minimal(fam)) == 9
+
+    def test_ks18_shuffled_minimal(self, ks18):
+        fam = ks18_variant(ks18, 7, None)
+        assert brute_dual_section(fam) is None
+        assert len(assert_minimal(fam)) == 9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dim3_shared_rays(self, seed):
+        fam = dim3_family(seed, 4 + seed % 5)
+        assert len(fam.shared_projectors()) > 2
+        w = search_dual_section(fam)
+        assert (None if w is None else w.chosen) == brute_dual_section(fam)
+
+    def test_grid_midpoint_family(self):
+        theta = 0.5 * np.arcsin(2 * 123456.5e-6)
+        v = np.array([np.cos(theta), np.sin(theta)])
+        u = np.array([-np.sin(theta), np.cos(theta)])
+        fam = ContextFamily(
+            [context_from_vectors([u, v]), context_from_vectors([3.7 * v, u])]
+        )
+        assert search_dual_section(fam).chosen == brute_dual_section(fam) == (0, 1)
