@@ -43,6 +43,7 @@ from .spectral import (
     apply_function,
     cluster_values,
     coarse_grained_projector,
+    common_coarsening,
     decompose,
     from_spectral_data,
     is_function_of,

@@ -5,9 +5,9 @@ The coarse-grainings of one observable form a lattice mirroring the
 partition lattice of its spectrum; each node carries a representative
 coarse observable with canonical labels.  A family of observables on one
 Hilbert space carries auto-detected functional relations; a global
-section is a choice of eigenvalue per observable consistent with every
-relation, and its absence on suitable families is the contextuality
-obstruction.
+section is a choice of eigenvalue per observable that values every
+projector two observables share alike (so it satisfies every relation),
+and its absence on suitable families is the contextuality obstruction.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .contexts import BooleanContext
 from .errors import InputError, NotSubalgebraError
+from .ks_search import ContextFamily, search_dual_section
 from .report import Report
 from .sieves import CoarseGraining, Mode, Partition, _lattice
 from .spectral import (
@@ -222,14 +223,16 @@ def search_global_section(
     declared: Iterable[tuple[int, int, Sequence[int]]] = (),
     tol: Tolerances = DEFAULT_TOL,
 ) -> Optional[SectionAssignment]:
-    """Search for an eigenvalue choice per family member consistent with
-    every functional relation between members.
+    """Search for an eigenvalue choice per family member that values
+    every projector two members share alike, and so satisfies every
+    functional relation between members.
 
     Relations are auto-detected; declared (source, target, table)
     triples are cross-checked against detection and rejected on
-    mismatch.  The search is deterministic: members in family order,
-    eigenvalue indices ascending, first witness returned.  Returns None
-    when no section exists.
+    mismatch.  The search is `search_dual_section` on the members'
+    spectral algebras, atom i being eigenvalue index i: members in
+    family order, eigenvalue indices ascending, first witness returned.
+    Returns None when no section exists.
     """
     relations = detect_relations(family, tol)
     detected = {(r.source, r.target): r.table for r in relations}
@@ -240,50 +243,5 @@ def search_global_section(
             )
     if not family:
         return SectionAssignment((), relations)
-
-    by_source: dict[int, list[FunctionalRelation]] = {}
-    by_target: dict[int, list[FunctionalRelation]] = {}
-    for r in relations:
-        by_source.setdefault(r.source, []).append(r)
-        by_target.setdefault(r.target, []).append(r)
-
-    n = len(family)
-    domains = [set(range(op.k)) for op in family]
-    choices = [-1] * n
-
-    def prune(var: int, value: int, doms: list[set[int]]) -> bool:
-        # forward-check both directions of every relation touching var
-        for r in by_source.get(var, ()):
-            forced = r.table[value]
-            if choices[r.target] >= 0:
-                if choices[r.target] != forced:
-                    return False
-            else:
-                doms[r.target] = doms[r.target] & {forced}
-                if not doms[r.target]:
-                    return False
-        for r in by_target.get(var, ()):
-            allowed = {a for a in doms[r.source] if r.table[a] == value}
-            if choices[r.source] >= 0:
-                if r.table[choices[r.source]] != value:
-                    return False
-            else:
-                doms[r.source] = allowed
-                if not allowed:
-                    return False
-        return True
-
-    def walk(var: int, doms: list[set[int]]) -> bool:
-        if var == n:
-            return True
-        for value in sorted(doms[var]):
-            nxt = [set(d) for d in doms]
-            choices[var] = value
-            if prune(var, value, nxt) and walk(var + 1, nxt):
-                return True
-            choices[var] = -1
-        return False
-
-    if walk(0, domains):
-        return SectionAssignment(tuple(choices), relations)
-    return None
+    w = search_dual_section(ContextFamily([spectral_algebra(a, tol) for a in family], tol))
+    return None if w is None else SectionAssignment(w.chosen, relations)

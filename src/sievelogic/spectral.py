@@ -279,26 +279,50 @@ def apply_function(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_T
     return from_spectral_data(eigenvalues, projectors, tol)
 
 
+def _linked(a: SpectralOperator, q: np.ndarray, tol: Tolerances) -> list[int]:
+    """Eigenvalue indices i of a whose projector overlaps the projector
+    q: max_abs(P_i q) > tau_proj.  Since the P_i q sum to q, one of them
+    is nonzero; under a tau_proj that loose the largest is taken."""
+    overlaps = [max_abs(p @ q) for p in a.projectors]
+    return [i for i, x in enumerate(overlaps) if x > tol.tau_proj] or [int(np.argmax(overlaps))]
+
+
+def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Partition:
+    """The finest partition r of a's eigenvalue indices whose block
+    projectors all lie in c's algebra.
+
+    P_i(a) and Q_j(c) are joined when they overlap.  A connected
+    component whose a-side and c-side projector sums agree within
+    tau_proj is a block; the a-indices of every other component merge
+    into one block, the complement of the others.  The coarse-grainings
+    of a that are functions of c are exactly the coarsenings of r, and
+    Q_j lies under the block of any index linked to it.
+    """
+    if a.dim != c.dim:
+        raise InputError("operators act on different dimensions")
+    components: list[tuple[set[int], set[int]]] = []  # (a-indices, c-indices)
+    for j, q in enumerate(c.projectors):
+        ia, jc = set(_linked(a, q, tol)), {j}
+        for ga, gc in [g for g in components if g[0] & ia]:
+            ia, jc = ia | ga, jc | gc
+        components = [g for g in components if not g[0] & ia] + [(ia, jc)]
+    blocks = [ia for ia, jc in components if max_abs(a.projector(ia) - c.projector(jc)) <= tol.tau_proj]
+    rest = set(range(a.k)).difference(*blocks)
+    return Partition.of(blocks + [rest] if rest else blocks)
+
+
 def is_function_of(
     a: SpectralOperator, m: SpectralOperator, tol: Tolerances = DEFAULT_TOL
 ) -> Optional[dict[int, float]]:
     """The value map g with a = g(m), if one exists.
 
-    a = g(m) holds iff a is constant on each eigenspace of m and carries
-    no cross terms, i.e. the blockwise reconstruction matches a.
+    a = g(m) holds iff every eigenprojector of a lies in m's algebra,
+    i.e. the common coarsening of a by m is discrete; g[j] is then the
+    eigenvalue of a on the block holding Q_j(m).
     """
-    if a.dim != m.dim:
-        raise InputError("operators act on different dimensions")
-    values = {}
-    recon = np.zeros((a.dim, a.dim), dtype=complex)
-    for i, p in enumerate(m.projectors):
-        rank = round(float(np.trace(p).real))
-        c = float(np.trace(p @ a.matrix).real) / rank
-        values[i] = c
-        recon = recon + c * p
-    if max_abs(recon - a.matrix) > tol.tau_rec:
+    if common_coarsening(a, m, tol).n_blocks != a.k:
         return None
-    return values
+    return {j: a.eigenvalues[_linked(a, q, tol)[0]] for j, q in enumerate(m.projectors)}
 
 
 def coarse_grained_projector(

@@ -13,9 +13,12 @@ Three construction families are provided:
   one after coarse-graining;
 * thresholded on a density matrix: probability at least r suffices.
 
-All evaluations reduce to partition combinatorics plus a vector of
-per-eigenvalue weights, so results depend only on the fiber partition of
-a coarse-graining and never on its labels.
+Every family runs through one kernel, `mass_sieve`, cut to a domain: a
+state has its weights on the whole lattice; a partial valuation has, per
+member, the up-set of r, the common coarsening of the operator by the
+member, with the indicator of the r-block holding the member's assigned
+eigenprojector as weights.  Results depend only on the fiber partition
+of a coarse-graining and never on its labels.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .sieves import (
     Mode,
     Partition,
     Sieve,
-    admissible_partitions,
+    _lattice,
     mass_sieve,
 )
 from .spectral import (
@@ -41,7 +44,9 @@ from .spectral import (
     SpectralOperator,
     Tolerances,
     ValueMap,
+    _linked,
     apply_function,
+    common_coarsening,
     is_function_of,
     value_fibers,
 )
@@ -84,9 +89,8 @@ class PartialValuation:
     given explicitly as (operator, eigenvalue index) pairs, in which case
     the domain is the closure of the listed operators under functions.
 
-    Explicit assignments are validated against every common
-    coarse-graining of every listed pair, so values extend consistently
-    to the whole domain.
+    Explicit assignments are validated against the common coarsening of
+    every listed pair, so values extend consistently to the whole domain.
     """
 
     def __init__(self, kind: str, members: list[tuple[SpectralOperator, int]], tol: Tolerances):
@@ -114,24 +118,18 @@ class PartialValuation:
         return pv
 
     def _validate_consistency(self) -> None:
-        # Two listed operators may share a coarse-graining without either
-        # being a function of the other, so check every coarse-graining of
-        # every listed operator against every other listed operator.
+        # The coarse-grainings op1 and op2 share are the coarsenings of
+        # r = common_coarsening(op1, op2); the values agree on all of them
+        # exactly when the r-block of a1 holds op2's assigned projector.
         for (op1, a1), (op2, a2) in itertools.combinations(self.members, 2):
-            if op1.dim != op2.dim:
-                raise InputError("assigned operators act on different dimensions")
-            for p in admissible_partitions(op1.k, Mode.WITH_CONSTANTS):
-                common = apply_function(op1, [p.block_of(i) for i in range(op1.k)], self.tol)
-                g = is_function_of(common, op2, self.tol)
-                if g is None:
-                    continue
-                via1 = float(p.block_of(a1))
-                via2 = g[a2]
-                if abs(via1 - via2) > self.tol.eps_group:
-                    raise InconsistentAssignmentsError(
-                        f"assignments conflict on a common coarse-graining of "
-                        f"{op1!r} and {op2!r}: {via1:g} vs {via2:g}"
-                    )
+            r = common_coarsening(op1, op2, self.tol)
+            mine = r.block_of(a1)
+            held = r.block_of(_linked(op1, op2.projectors[a2], self.tol)[0])
+            if held != mine:
+                raise InconsistentAssignmentsError(
+                    f"assignments conflict on a common coarse-graining of "
+                    f"{op1!r} and {op2!r}: block {mine} vs block {held} of {r}"
+                )
 
     def locate(self, b: SpectralOperator) -> Optional[float]:
         """The value this valuation gives to b, or None if b is outside
@@ -164,8 +162,7 @@ class GeneralizedValuation:
         self.r = float(r)
         self.tol = tol
         self._sieves: dict = {}
-        self._weights: dict = {}
-        self._partial_cells: dict = {}
+        self._domains: dict = {}
 
     @staticmethod
     def from_partial(v: PartialValuation, mode: Mode, tol: Tolerances = DEFAULT_TOL) -> "GeneralizedValuation":
@@ -183,40 +180,36 @@ class GeneralizedValuation:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
 
-    def _partial_cell(self, a: SpectralOperator, p: Partition) -> tuple[bool, int]:
-        """Whether the canonical coarse observable for (a, p) lies in the
-        partial valuation's domain, and which block its value selects."""
-        cell = self._partial_cells.get((a, p))
-        if cell is None:
-            b = apply_function(a, [p.block_of(i) for i in range(a.k)], self.tol)
-            v = self.partial.locate(b)
-            if v is None:
-                cell = (False, -1)
-            else:
-                j = round(v)
-                if abs(v - j) > self.tol.eps_group or not 0 <= j < p.n_blocks:
-                    raise InputError(f"partial valuation returned a non-spectral value {v!r}")
-                cell = (True, j)
-            self._partial_cells[(a, p)] = cell
-        return cell
+    def _weighted_domains(self, a: SpectralOperator) -> list[tuple[tuple[float, ...], int]]:
+        """The (weights, domain mask) pairs of the operator a; domains of
+        a partial valuation are decided under its own tolerances."""
+        lattice = _lattice(a.k, self.mode)
+        if self.kind != "partial":
+            return [(self.state.weights(a.projectors), lattice.full)]
+        tol = self.partial.tol
+        pairs = []
+        for c, idx in self.partial.members:
+            if c.dim != a.dim:
+                continue
+            i = lattice.index.get(common_coarsening(a, c, tol))
+            if i is None:
+                continue  # the one-block partition without constants: empty domain
+            held = _linked(a, c.projectors[idx], tol)[0]
+            pairs.append((tuple(float(j == held) for j in range(a.k)), lattice.up[i]))
+        return pairs
 
     def evaluate(self, p: Proposition) -> Sieve:
         sieve = self._sieves.get(p)
         if sieve is None:
             a = p.operator
-            if self.kind == "partial":
-                members = []
-                for q in admissible_partitions(a.k, self.mode):
-                    in_dom, j = self._partial_cell(a, q)
-                    if in_dom and p.indices.intersection(q.blocks[j]):
-                        members.append(q)
-                sieve = Sieve(a.k, self.mode, members)
-            else:
-                weights = self._weights.get(a)
-                if weights is None:
-                    weights = self._weights[a] = self.state.weights(a.projectors)
-                sieve = mass_sieve(a.k, self.mode, p.indices, weights, self.r - self.tol.tau_one)
-            self._sieves[p] = sieve
+            pairs = self._domains.get(a)
+            if pairs is None:
+                pairs = self._domains[a] = self._weighted_domains(a)
+            cutoff = self.r - self.tol.tau_one
+            mask = 0
+            for weights, domain in pairs:
+                mask |= mass_sieve(a.k, self.mode, p.indices, weights, cutoff).mask & domain
+            sieve = self._sieves[p] = Sieve._of_mask(a.k, self.mode, mask)
         return sieve
 
 

@@ -23,9 +23,9 @@ from sievelogic import (
     SubalgebraPoset,
     all_partitions,
     admissible_partitions,
+    apply_function,
     decompose,
     from_spectral_data,
-    is_function_of,
 )
 from sievelogic.ks_search import DualSectionWitness
 from sievelogic.spectral import projector_leq
@@ -54,6 +54,42 @@ def rand_operator(rng, dim: int, k: int) -> SpectralOperator:
             m += values[i] * np.outer(q[:, pos], q[:, pos].conj())
             pos += 1
     return decompose(m)
+
+
+def rand_related_operator(rng, u, kmax, base=None):
+    """An operator on the columns of u, with its column grouping (one
+    eigenspace per group).  Without a base the basis is u and the
+    grouping random.  With one, the basis is u (commuting), u with some
+    columns other than column 0 rotated among themselves (partly
+    commuting), or an unrelated unitary (non-commuting); the
+    grouping is mostly derived from `base` by merging its groups at
+    random and splitting off one column, so that operators share
+    coarse-grainings."""
+    dim = u.shape[0]
+    relation = "commuting"
+    if base is not None:
+        relation = rng.choice(["commuting", "partly", "unrelated"], p=[0.5, 0.25, 0.25])
+    basis = u
+    if relation == "partly" and dim > 2:
+        cols = 1 + rng.choice(dim - 1, size=int(rng.integers(2, dim)), replace=False)
+        v = np.eye(dim, dtype=complex)
+        v[np.ix_(cols, cols)] = rand_unitary(rng, len(cols))
+        basis = u @ v
+    elif relation != "commuting":
+        basis = rand_unitary(rng, dim)
+    if base is not None and rng.random() < 0.75:
+        group = rng.integers(base.max() + 1, size=base.max() + 1)[base]
+        if rng.random() < 0.5:
+            group[rng.integers(dim)] = dim
+        group = np.unique(group, return_inverse=True)[1].reshape(-1)
+    else:
+        k = int(rng.integers(min(2, dim), min(dim, kmax) + 1))
+        group = np.concatenate([np.arange(k), rng.integers(k, size=dim - k)])
+        rng.shuffle(group)
+    k = int(group.max()) + 1
+    projectors = [basis[:, group == i] @ basis[:, group == i].conj().T for i in range(k)]
+    values = np.sort(rng.choice(np.arange(4 * k), size=k, replace=False)) + rng.uniform(0, 0.5)
+    return from_spectral_data(values, projectors), group
 
 
 def rand_vector_state(rng, dim: int) -> QuantumState:
@@ -285,10 +321,64 @@ def brute_dual_section(fam: ContextFamily, chunk: int = 1 << 16):
     return None
 
 
+def reconstructed_function_of(a: SpectralOperator, m: SpectralOperator, tau_rec: float = 1e-9):
+    """The value map g with a = g(m) by blockwise reconstruction: g[j] is
+    the mean of a over the eigenspace Q_j of m, tr(Q_j a) / rank Q_j, and
+    g is accepted when sum_j g[j] Q_j matches a within tau_rec (max-abs);
+    None otherwise."""
+    values = {}
+    recon = np.zeros((a.dim, a.dim), dtype=complex)
+    for j, q in enumerate(m.projectors):
+        rank = round(float(np.trace(q).real))
+        values[j] = float(np.trace(q @ a.matrix).real) / rank
+        recon = recon + values[j] * q
+    return values if np.abs(recon - a.matrix).max() <= tau_rec else None
+
+
+def _common_value(b: SpectralOperator, members, tol):
+    """The value the first member whose algebra holds b assigns it (b's
+    eigenvalue on the anchor's assigned eigenspace), or None."""
+    for op, idx in members:
+        g = reconstructed_function_of(b, op, tol.tau_rec)
+        if g is not None:
+            return g[idx]
+    return None
+
+
+def brute_partial_sieve(a: SpectralOperator, members, delta, mode: Mode, tol) -> frozenset[Partition]:
+    """The partial valuation's sieve of "a in delta" by its definition:
+    for every admissible partition q, the coarse observable with block
+    positions as eigenvalues is built, and q is in when some member's
+    algebra holds it and the block its value selects meets delta."""
+    delta = frozenset(delta)
+    out = set()
+    for q in admissible_partitions(a.k, mode):
+        b = apply_function(a, [q.block_of(i) for i in range(a.k)], tol)
+        v = _common_value(b, members, tol)
+        if v is not None and delta & set(q.blocks[round(v)]):
+            out.add(q)
+    return frozenset(out)
+
+
+def brute_consistent(members, tol) -> bool:
+    """Whether assigned (operator, eigenvalue index) pairs agree on every
+    common coarse-graining: for every pair and every partition p of the
+    first operator's spectrum whose coarse observable the second
+    operator's algebra holds, the block of p holding the first index
+    must be the value the second index selects."""
+    for (op1, a1), (op2, a2) in itertools.combinations(members, 2):
+        for p in admissible_partitions(op1.k, Mode.WITH_CONSTANTS):
+            common = apply_function(op1, [p.block_of(i) for i in range(op1.k)], tol)
+            g = reconstructed_function_of(common, op2, tol.tau_rec)
+            if g is not None and abs(p.block_of(a1) - g[a2]) > tol.eps_group:
+                return False
+    return True
+
+
 def section_ok_independent(family, assignment: SectionAssignment) -> bool:
     """Recheck every functional relation from scratch."""
     for i, j in itertools.permutations(range(len(family)), 2):
-        g = is_function_of(family[j], family[i])
+        g = reconstructed_function_of(family[j], family[i])
         if g is None:
             continue
         want = family[j].eigenvalue_index(g[assignment.choices[i]], 1e-8)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelogic import (
     CoarseGrainingLattice,
@@ -17,6 +19,7 @@ from sievelogic import (
     bell_number,
     check_indicator_naturality,
     compose,
+    context_operator,
     decompose,
     detect_relations,
     restrict_hom,
@@ -24,7 +27,13 @@ from sievelogic import (
     spectral_algebra,
 )
 from sievelogic.spectral import max_abs, projector_leq
-from helpers import ks_operator_family, rand_operator, section_ok_independent
+from helpers import (
+    ks_operator_family,
+    rand_operator,
+    rand_related_operator,
+    rand_unitary,
+    section_ok_independent,
+)
 
 
 class TestSpectralAlgebra:
@@ -261,3 +270,30 @@ class TestGlobalSection:
     def test_empty_family(self):
         section = search_global_section([])
         assert section is not None and section.choices == ()
+
+    def test_context_operators_of_ks18_have_no_section(self, ks18):
+        # no context operator is a function of another, so no relation
+        # is detected; the rays the contexts share rule out every choice
+        family = [context_operator(c) for c in ks18.family.contexts]
+        assert detect_relations(family) == ()
+        assert search_global_section(family) is None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ks18_subfamily_section_is_consistent(self, ks18, n):
+        family = [context_operator(c) for c in ks18.family.contexts[:n]]
+        section = search_global_section(family)
+        assert section is not None
+        PartialValuation.explicit(list(zip(family, section.choices)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_explicit_accepts_every_section(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        u = rand_unitary(rng, dim)
+        a, group = rand_related_operator(rng, u, dim)
+        family = [a] + [rand_related_operator(rng, u, dim, group)[0] for _ in range(int(rng.integers(1, 4)))]
+        section = search_global_section(family)
+        if section is not None:
+            assert section.verify()
+            PartialValuation.explicit(list(zip(family, section.choices)))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -21,6 +22,27 @@ def run(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+# Full stdout of `axioms spin_one -v partial:Sz=0 --json`: one
+# (title, checks, notes) row per report, none with violations.
+AXIOMS_SPIN1_PARTIAL_SZ0 = [
+    ("Sx: valuation axioms", 29, ["unit condition: violated (legal for partial-valuation families)"]),
+    ("Sx: naturality (0|1|2)", 11, []),
+    ("Sx: naturality (0|1,2)", 11, []),
+    ("Sx: naturality (0,1|2)", 11, []),
+    ("Sx: naturality (0,1,2)", 11, []),
+    ("Sx: naturality (0,2|1)", 11, ["Sx: disjunction strength on disjoint pairs: 6 equalities, 0 strict"]),
+    ("Sz: valuation axioms", 38, ["unit condition: holds"]),
+    ("Sz: naturality (0|1|2)", 11, []),
+    ("Sz: naturality (0|1,2)", 11, []),
+    ("Sz: naturality (0,1|2)", 11, []),
+    ("Sz: naturality (0,1,2)", 11, []),
+    ("Sz: naturality (0,2|1)", 11, ["Sz: disjunction strength on disjoint pairs: 6 equalities, 0 strict"]),
+    ("Sx2: valuation axioms", 11, ["unit condition: violated (legal for partial-valuation families)"]),
+    ("Sx2: naturality (0|1)", 6, []),
+    ("Sx2: naturality (0,1)", 6, ["Sx2: disjunction strength on disjoint pairs: 1 equalities, 0 strict"]),
+]
+
+
 class TestEval:
     def test_spin1_frozen_output(self, runner):
         res = run(runner, "eval", "spin_one", "-v", "state:psi", "-p", "Sx in {1}")
@@ -30,6 +52,32 @@ class TestEval:
             "{-1,1}|{0}",
             "classification: Intermediate",
         ]
+
+    @pytest.mark.parametrize(
+        "mode,expected",
+        [
+            ("o", ["{-1,0,1}", "classification: MinimallyTrue"]),
+            ("ostar", ["classification: TotallyFalse"]),
+        ],
+    )
+    def test_partial_frozen_output(self, runner, mode, expected):
+        res = run(runner, "eval", "spin_one", "-v", "partial:Sz=0", "-p", "Sx in {1}", "--mode", mode)
+        assert res.exit_code == 0
+        assert res.output == "".join(line + "\n" for line in expected)
+
+    def test_spectrum_past_the_limit_exits_2(self, runner, tmp_path):
+        data = {
+            "format": "sievelogic.system/1",
+            "dimension": 10,
+            "mode": "o",
+            "operators": {"A": {"matrix": np.diag(np.arange(10.0)).tolist()}},
+            "states": {"e0": {"vector": [1.0] + [0.0] * 9}},
+        }
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(data))
+        res = run(runner, "eval", str(f), "-v", "state:e0", "-p", "A in {0}")
+        assert res.exit_code == 2
+        assert "Bell(10) = 115975" in res.stderr
 
     def test_spin1_union_true(self, runner):
         res = run(runner, "eval", "spin_one", "-v", "state:psi", "-p", "Sx in {-1,1}")
@@ -146,6 +194,15 @@ class TestAxioms:
         assert res.exit_code == 0
         assert "unit condition: violated (legal for partial-valuation families)" in res.output
 
+    def test_partial_frozen_json(self, runner):
+        res = run(runner, "axioms", "spin_one", "-v", "partial:Sz=0", "--json")
+        assert res.exit_code == 0
+        reports = [
+            {"checks": checks, "notes": notes, "title": title, "violations": []}
+            for title, checks, notes in AXIOMS_SPIN1_PARTIAL_SZ0
+        ]
+        assert res.output == json.dumps({"ok": True, "reports": reports}, indent=2, sort_keys=True) + "\n"
+
     def test_low_threshold_fails(self, runner):
         res = run(runner, "axioms", "spin_half", "-v", "threshold:mixed:0.4", "--operator", "Sz")
         assert res.exit_code == 1
@@ -226,6 +283,27 @@ class TestDot:
             '  "0|1" [label="{-0.5}|{0.5}", style=filled, fillcolor="lightblue"];\n'
             '  "0,1" [label="{-0.5,0.5}", style=filled, fillcolor="lightblue"];\n'
             '  "0|1" -> "0,1";\n'
+            "}\n"
+        )
+
+    def test_frozen_partial_spin_one(self, runner):
+        res = run(runner, "dot", "spin_one", "Sx", "-v", "partial:Sz=0", "-p", "Sx in {1}")
+        assert res.exit_code == 0
+        assert res.output == (
+            "digraph partition_lattice {\n"
+            "  rankdir=BT;\n"
+            "  node [shape=box];\n"
+            '  "0|1|2" [label="{-1}|{0}|{1}"];\n'
+            '  "0|1,2" [label="{-1}|{0,1}"];\n'
+            '  "0,1|2" [label="{-1,0}|{1}"];\n'
+            '  "0,1,2" [label="{-1,0,1}", style=filled, fillcolor="lightblue"];\n'
+            '  "0,2|1" [label="{-1,1}|{0}"];\n'
+            '  "0|1|2" -> "0|1,2";\n'
+            '  "0|1|2" -> "0,1|2";\n'
+            '  "0|1|2" -> "0,2|1";\n'
+            '  "0|1,2" -> "0,1,2";\n'
+            '  "0,1|2" -> "0,1,2";\n'
+            '  "0,2|1" -> "0,1,2";\n'
             "}\n"
         )
 

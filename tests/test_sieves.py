@@ -87,6 +87,13 @@ class TestEnumeration:
         assert len(all_partitions(k)) == count
         assert bell_number(k) == count
 
+    def test_spectrum_past_the_limit_fails_fast(self):
+        with pytest.raises(InputError, match=r"Bell\(10\) = 115975"):
+            all_partitions(10)
+
+    def test_bell_numbers_past_the_limit(self):
+        assert [bell_number(k) for k in (7, 8, 9, 10, 11)] == [877, 4140, 21147, 115975, 678570]
+
     def test_admissible_modes(self):
         assert len(admissible_partitions(4, Mode.WITH_CONSTANTS)) == 15
         assert len(admissible_partitions(4, Mode.WITHOUT_CONSTANTS)) == 14

@@ -13,6 +13,7 @@ from sievelogic import (
     apply_function,
     cluster_values,
     coarse_grained_projector,
+    common_coarsening,
     decompose,
     from_spectral_data,
     is_function_of,
@@ -167,6 +168,20 @@ class TestIsFunctionOf:
 
     def test_unrelated(self, spin1_sx, spin1_sz):
         assert is_function_of(spin1_sx, spin1_sz) is None
+
+    def test_loose_tau_proj_still_links_every_projector(self):
+        # at tau_proj = 0.45 no projector of a overlaps Q_0 of c by more
+        # than tau_proj; Q_0 is linked to the largest overlap instead
+        tol = Tolerances(tau_proj=0.45)
+        rng = np.random.default_rng(2)
+        a, c = [
+            from_spectral_data((0.0, 1.0, 2.0), [np.outer(u[:, i], u[:, i].conj()) for i in range(3)], tol)
+            for u in (rand_unitary(rng, 3), rand_unitary(rng, 3))
+        ]
+        assert all(max_abs(p @ c.projectors[0]) <= 0.45 for p in a.projectors)
+        g = is_function_of(c, a, tol)
+        assert g is not None and sorted(g.values()) == [0.0, 1.0, 2.0]
+        assert common_coarsening(a, c, tol).n_blocks == 3
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(9)

@@ -27,14 +27,19 @@ from sievelogic import (
     decompose,
     extract_partial,
     from_spectral_data,
+    is_function_of,
 )
 from helpers import (
+    brute_consistent,
     brute_induced_sieve,
+    brute_partial_sieve,
     rand_density_state,
     rand_operator,
+    rand_related_operator,
     rand_unitary,
     rand_value_map,
     rand_vector_state,
+    reconstructed_function_of,
 )
 
 
@@ -210,43 +215,40 @@ class TestPartialFamilyValuation:
         assert v.locate(product) == pytest.approx(v.locate(a1) * v.locate(a2))
 
 
+def _near_e0(tol=DEFAULT_TOL):
+    """An operator on C^3 whose eigenprojector Q_0 = |v><v| is off by
+    about 1e-7 (max-abs) from E_00, the first eigenprojector of diag(0, 1, 2)."""
+    v = np.array([1.0, 1e-7, 0.0]) / np.sqrt(1.0 + 1e-14)
+    q0 = np.outer(v, v)
+    return from_spectral_data((0.0, 1.0), (q0, np.eye(3) - q0), tol)
+
+
 class TestTolerances:
-    """The spectral-value checks of partial valuations use the
-    valuation's eps_group, so an overridden Tolerances moves them."""
+    """Domains and consistency of partial valuations are decided by
+    tau_proj, so an overridden Tolerances moves them."""
 
-    def test_partial_cell_value_check(self, spin1_sx):
-        class Shifted(PartialValuation):
-            def locate(self, b):
-                v = super().locate(b)
-                return None if v is None else v + 1e-7
-
-        prop = Proposition(spin1_sx, frozenset([0]))
-        strict = GeneralizedValuation.from_partial(
-            Shifted("maximal", [(spin1_sx, 0)], DEFAULT_TOL), Mode.WITH_CONSTANTS
-        )
-        with pytest.raises(InputError, match="non-spectral"):
-            strict.evaluate(prop)
-        loose_tol = Tolerances(eps_group=1e-6)
+    def test_partial_domain_reads_tau_proj(self):
+        a = decompose(np.diag([0.0, 1.0, 2.0]))
+        separated = Partition.of([(0,), (1, 2)])
+        prop = Proposition(a, frozenset([0]))
+        strict = GeneralizedValuation.from_partial(PartialValuation.maximal(_near_e0(), 0), Mode.WITH_CONSTANTS)
+        assert separated not in strict.evaluate(prop)
+        loose_tol = Tolerances(tau_proj=1e-6)
         loose = GeneralizedValuation.from_partial(
-            Shifted("maximal", [(spin1_sx, 0)], loose_tol), Mode.WITH_CONSTANTS, loose_tol
+            PartialValuation.maximal(_near_e0(loose_tol), 0, loose_tol), Mode.WITH_CONSTANTS, loose_tol
         )
-        exact = GeneralizedValuation.from_partial(PartialValuation.maximal(spin1_sx, 0), Mode.WITH_CONSTANTS)
-        assert loose.evaluate(prop) == exact.evaluate(prop)
+        assert separated in loose.evaluate(prop)
 
-    def test_consistency_check(self, spin1_sz, monkeypatch):
-        import sievelogic.valuations as valuations
-
-        real = valuations.is_function_of
-
-        def shifted(a, m, tol=DEFAULT_TOL):
-            g = real(a, m, tol)
-            return None if g is None else {i: v + 1e-7 for i, v in g.items()}
-
-        monkeypatch.setattr(valuations, "is_function_of", shifted)
-        pairs = [(spin1_sz, 0), (spin1_sz, 0)]
+    def test_consistency_reads_tau_proj(self):
+        # a at index 1 and the anchor at index 0 (the eigenspace near
+        # E_00) conflict once the two projectors are identified; a looser
+        # tau_proj can only refine the common coarsening, so it is the
+        # loose side that finds the conflict
+        a = decompose(np.diag([0.0, 1.0, 2.0]))
+        PartialValuation.explicit([(a, 1), (_near_e0(), 0)])
+        loose_tol = Tolerances(tau_proj=1e-6)
         with pytest.raises(InconsistentAssignmentsError):
-            PartialValuation.explicit(pairs)
-        PartialValuation.explicit(pairs, Tolerances(eps_group=1e-6))
+            PartialValuation.explicit([(a, 1), (_near_e0(loose_tol), 0)], loose_tol)
 
 
 class TestThresholdValuation:
@@ -458,6 +460,64 @@ class TestInducedSecondRoute:
         cmp = compare_direct_vs_induced(psi, Proposition(op, delta), mode)
         expected = brute_induced_sieve(weights, delta, k, mode, 1.0 - DEFAULT_TOL.tau_one)
         assert cmp.induced.partitions == expected
+
+
+@st.composite
+def partial_cases(draw):
+    """An operator a with 2-5 eigenvalues, diagonal in a random basis u
+    of C^dim (dim 2-6), 1-3 assigned members, each commuting, partly
+    commuting or not with a, and a subset of a's spectrum.  The
+    assigned indices either follow the shared basis vector u[:, 0]
+    (mostly consistent) or are random (often conflicting)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from([Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]))
+    coherent = draw(st.booleans())
+    dim = int(rng.integers(2, 7))
+    u = rand_unitary(rng, dim)
+    a, group = rand_related_operator(rng, u, 5)
+    members = []
+    for _ in range(int(rng.integers(1, 4))):
+        c, _ = rand_related_operator(rng, u, dim, group)
+        weights = [abs(np.vdot(u[:, 0], q @ u[:, 0])) for q in c.projectors]
+        idx = int(np.argmax(weights)) if coherent else int(rng.integers(c.k))
+        members.append((c, idx))
+    delta = frozenset(np.flatnonzero(rng.random(a.k) < 0.5).tolist())
+    return a, members, mode, delta
+
+
+class TestPartialSecondRoute:
+    """The common-coarsening kernel against the per-partition definition
+    (one coarse observable per partition, reconstruction test)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_cases())
+    def test_sieve_and_consistency_match_definition(self, case):
+        a, members, mode, delta = case
+        if len(members) == 1:
+            v = PartialValuation.maximal(*members[0])
+        elif brute_consistent(members, DEFAULT_TOL):
+            v = PartialValuation.explicit(members)
+        else:
+            with pytest.raises(InconsistentAssignmentsError):
+                PartialValuation.explicit(members)
+            return
+        nu = GeneralizedValuation.from_partial(v, mode)
+        got = nu.evaluate(Proposition(a, delta)).partitions
+        assert got == brute_partial_sieve(a, members, delta, mode, DEFAULT_TOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partial_cases())
+    def test_is_function_of_matches_reconstruction(self, case):
+        a, members, _, _ = case
+        c = members[0][0]
+        derived = apply_function(c, [float(i % 2) for i in range(c.k)])
+        for x, m in [(a, c), (c, a), (derived, c), (c, derived)]:
+            got = is_function_of(x, m)
+            want = reconstructed_function_of(x, m)
+            assert (got is None) == (want is None)
+            if got is not None:
+                table = [x.eigenvalue_index(got[j], 1e-8) for j in range(m.k)]
+                assert table == [x.eigenvalue_index(want[j], 1e-8) for j in range(m.k)]
 
 
 class TestNaturality:
