@@ -19,7 +19,7 @@ from .contexts import BooleanContext
 from .errors import InputError, NotSubalgebraError
 from .ks_search import ContextFamily, search_dual_section
 from .report import Report
-from .sieves import CoarseGraining, Mode, Partition, _lattice
+from .sieves import CoarseGraining, Mode, Partition, _from_values, _lattice
 from .spectral import (
     DEFAULT_TOL,
     SpectralOperator,
@@ -28,6 +28,7 @@ from .spectral import (
     is_function_of,
     projector_leq,
 )
+from .valuations import canonical_graining
 
 
 def spectral_algebra(a: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> BooleanContext:
@@ -72,7 +73,7 @@ class CoarseGrainingLattice:
         top observable."""
         if p not in self._index:
             raise InputError(f"partition {p} is not an object of this lattice")
-        return CoarseGraining(p, tuple(float(i) for i in range(p.n_blocks)), base=self.top)
+        return canonical_graining(self.top, p)
 
     def hom_exists(self, coarse: Partition, fine: Partition) -> bool:
         """Whether the object at `coarse` receives an arrow from the
@@ -84,19 +85,7 @@ class CoarseGrainingLattice:
         `fine` onto the representative at `coarse`."""
         if not self.hom_exists(coarse, fine):
             raise InputError(f"{coarse} does not coarsen {fine}")
-        fine_op = self.operator_at(fine)
-        owner = []
-        for block in fine.blocks:
-            pos = next(j for j, cb in enumerate(coarse.blocks) if block[0] in cb)
-            owner.append(pos)
-        groups: dict[int, list[int]] = {}
-        for j, pos in enumerate(owner):
-            groups.setdefault(pos, []).append(j)
-        fibers = Partition.of(groups.values())
-        labels = tuple(
-            float(owner[fiber[0]]) for fiber in fibers.blocks
-        )
-        return CoarseGraining(fibers, labels, base=fine_op)
+        return _from_values([float(coarse.block_of(b[0])) for b in fine.blocks], self.operator_at(fine))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ over context families), dot (partition-lattice export), heyting
 System files are JSON with format tag "sievelogic.system/1": a
 dimension, named operators (dense matrices or explicit spectral data),
 named states (vector, density or projector), optional tolerance
-overrides and an optional default mode token ("o" admits constant
-coarse-grainings, "ostar" excludes them).  Context-family files use the
+overrides (finite and non-negative, like those of --tol) and an
+optional default mode token ("o" admits constant coarse-grainings,
+"ostar" excludes them).  Context-family files use the
 tag "sievelogic.contexts/1" and list contexts as rays into a shared
 vector table or as explicit atom matrices.  Matrix entries are numbers
 or [re, im] pairs; output always uses pairs.
@@ -17,7 +18,7 @@ or [re, im] pairs; output always uses pairs.
 Bare names (spin_half, spin_one, ks18_dim4) resolve to bundled data
 when no file of that name exists.  Output is deterministic for fixed
 input and flags.  Exit codes: 0 success/colorable, 1 axiom violation,
-2 bad input, 3 uncolorable.
+2 bad input (an unreadable or non-UTF-8 file included), 3 uncolorable.
 """
 from __future__ import annotations
 
@@ -111,7 +112,10 @@ def _formatter(values) -> Callable[[float], str]:
 def _read_input(token: str) -> str:
     path = Path(token)
     if path.exists():
-        return path.read_text()
+        try:
+            return path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read {token}: {e}") from e
     stem = token[:-5] if token.endswith(".json") else token
     if stem in BUNDLED:
         return (resources.files("sievelogic") / "data" / f"{stem}.json").read_text()

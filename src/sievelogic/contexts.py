@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _lattice, mass_sieve
+from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, mass_sieve
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -146,7 +146,7 @@ class SubalgebraPoset:
     def is_element(self, w: Partition, alpha: Element) -> bool:
         self._require(w)
         alpha = frozenset(alpha)
-        return alpha <= frozenset(range(self.top.n_atoms)) and _image(w, alpha) == alpha
+        return alpha <= frozenset(range(self.top.n_atoms)) and _node_image(w, alpha) == alpha
 
     def weights(self, rho: QuantumState) -> tuple[float, ...]:
         """The state's probability of each top atom, computed once per
@@ -165,10 +165,8 @@ class SubalgebraPoset:
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
 
 
-@lru_cache(maxsize=None)
-def _image(w2: Partition, alpha: Element) -> Element:
-    """The union of w2's blocks that meet alpha."""
-    return frozenset(i for b in w2.blocks if not alpha.isdisjoint(b) for i in b)
+# The poset audits take the image of one (node, element) pair many times.
+_node_image = lru_cache(maxsize=None)(_image)
 
 
 def canonical_coarsening(
@@ -180,14 +178,14 @@ def canonical_coarsening(
         raise NotSubalgebraError(f"{w2} is not a subalgebra of {w1}")
     if not poset.is_element(w1, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w1}")
-    return _image(w2, frozenset(alpha))
+    return _node_image(w2, frozenset(alpha))
 
 
 def _as_theta(theta: Optional[ThetaMap]):
     """The map as a function of (w1, w2, alpha); the canonical one skips
     the argument checks, since the audits pass only poset data."""
     if theta is None:
-        return lambda w1, w2, alpha: _image(w2, alpha)
+        return lambda w1, w2, alpha: _node_image(w2, alpha)
     if callable(theta):
         return theta
 
@@ -215,7 +213,7 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
                 alpha <= image,
                 lambda: f"domination fails: theta({sorted(alpha)}) from {w1} to {w2} loses atoms",
             )
-            if _image(w2, alpha) == alpha:
+            if _node_image(w2, alpha) == alpha:
                 report.record(
                     image == alpha,
                     lambda: f"retraction fails on {sorted(alpha)} from {w1} to {w2}",
@@ -241,30 +239,28 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
 class SubalgebraSieve:
     """A down-closed set of subalgebras of a base node: a truth value at
     that node.  It wraps the `Sieve` over the poset's lattice whose mask
-    lies in the base's down set; `Sieve` enforces the closure."""
+    lies in the base's down set; `Sieve` checks given members' closure."""
 
     __slots__ = ("poset", "base", "sieve", "_down")
 
     def __init__(self, poset: SubalgebraPoset, base: Partition, members: Iterable[Partition]):
         i = poset._require(base)
-        mask = 0
+        members = tuple(members)
         for w in members:
             j = poset._lattice.index.get(w)
             if j is None or not poset._lattice.up[i] >> j & 1:
                 raise InputError(f"{w} is not a subalgebra of the base {base}")
-            mask |= 1 << j
-        self._set(poset, i, mask)
+        self._set(poset, i, Sieve(poset.top.n_atoms, poset.mode, members))
 
     @classmethod
     def _at(cls, poset: SubalgebraPoset, i: int, mask: int) -> "SubalgebraSieve":
-        """The truth value with this mask at the node of bit index i."""
+        """The truth value with an up-closed mask at the node of bit index i."""
         out = cls.__new__(cls)
-        out._set(poset, i, mask)
+        out._set(poset, i, Sieve._of_mask(poset.top.n_atoms, poset.mode, mask))
         return out
 
-    def _set(self, poset: SubalgebraPoset, i: int, mask: int) -> None:
-        self.poset, self.base, self._down = poset, poset.nodes[i], poset._lattice.up[i]
-        self.sieve = Sieve._of_mask(poset.top.n_atoms, poset.mode, mask)
+    def _set(self, poset: SubalgebraPoset, i: int, sieve: Sieve) -> None:
+        self.poset, self.base, self._down, self.sieve = poset, poset.nodes[i], poset._lattice.up[i], sieve
 
     @property
     def members(self) -> frozenset[Partition]:
@@ -388,7 +384,7 @@ def check_restriction_compatibility(
         }
         for w2 in poset.down_set(w1):
             for alpha in elements:
-                lhs = _sieve_from_weights(poset, w2, _image(w2, alpha), weights, tol)
+                lhs = _sieve_from_weights(poset, w2, _node_image(w2, alpha), weights, tol)
                 rhs = sieves[alpha].restrict(w2)
                 report.record(
                     lhs == rhs,

@@ -17,11 +17,11 @@ as coarse-grainings), WITHOUT_CONSTANTS excludes it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BaseMismatchError, InputError
 
@@ -221,9 +221,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _composite(fibers: Partition, order: Sequence[int], grouping: Partition) -> Partition:
-    """Base partition joining the fiber blocks order[j] of each group j."""
-    return Partition.of([sorted(i for j in g for i in fibers.blocks[order[j]]) for g in grouping.blocks])
+def _composite(to: Sequence[int], grouping: Partition) -> Partition:
+    """Base partition joining the base indices i whose codomain indices
+    to[i] fall in one block of a partition of the codomain."""
+    return Partition.of([[i for i, j in enumerate(to) if j in g] for g in grouping.blocks])
+
+
+def _image(p: Partition, subset: AbstractSet[int]) -> frozenset[int]:
+    """The union of p's blocks that meet a subset."""
+    return frozenset(i for b in p.blocks if not subset.isdisjoint(b) for i in b)
 
 
 @dataclass(frozen=True)
@@ -233,27 +239,25 @@ class CoarseGraining:
 
     The label order fixes how blocks correspond to eigenvalue indices of
     the coarse observable: index j is the block holding the j-th smallest
-    label.
+    label; `to[i]` is the codomain index of base element i.
     """
 
     partition: Partition
     labels: tuple[float, ...]
     base: object = None
+    to: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) != self.partition.n_blocks:
             raise InputError("need exactly one label per block")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("labels must be injective on blocks")
+        ranked = sorted(self.labels)
+        object.__setattr__(self, "to", tuple(ranked.index(self.value_at(i)) for i in range(self.partition.k)))
 
     @property
     def codomain_size(self) -> int:
         return self.partition.n_blocks
-
-    @property
-    def index_to_block(self) -> tuple[int, ...]:
-        """Block position for each codomain eigenvalue index (labels ascending)."""
-        return tuple(sorted(range(len(self.labels)), key=lambda pos: self.labels[pos]))
 
     def value_at(self, i: int) -> float:
         """Label of the block containing base element i."""
@@ -261,16 +265,26 @@ class CoarseGraining:
 
     def image_indices(self, subset: Iterable[int]) -> frozenset[int]:
         """Codomain eigenvalue indices hit by a base index subset."""
-        order = self.index_to_block
-        rank = {pos: j for j, pos in enumerate(order)}
-        return frozenset(rank[self.partition.block_of(i)] for i in subset)
+        subset = tuple(subset)
+        if any(not 0 <= i < len(self.to) for i in subset):
+            raise InputError(f"base index outside 0..{len(self.to) - 1}")
+        return frozenset(self.to[i] for i in subset)
 
     def composite_partition(self, grouping: Partition) -> Partition:
         """Base partition induced by a partition of the codomain indices:
         base indices are joined when their blocks fall in one group."""
         if grouping.k != self.codomain_size:
             raise BaseMismatchError("grouping must partition the codomain spectrum")
-        return _composite(self.partition, self.index_to_block, grouping)
+        return _composite(self.to, grouping)
+
+
+def _from_values(values: Sequence, base) -> CoarseGraining:
+    """The coarse-graining sending base index i to values[i]: the fibers
+    of the values, each labeled by its value."""
+    fibers: dict = {}  # keyed in order of first occurrence: canonical block order
+    for i, v in enumerate(values):
+        fibers.setdefault(v, []).append(i)
+    return CoarseGraining(Partition.of(fibers.values()), tuple(fibers), base=base)
 
 
 def compose(outer: "CoarseGraining", inner: "CoarseGraining") -> "CoarseGraining":
@@ -282,17 +296,7 @@ def compose(outer: "CoarseGraining", inner: "CoarseGraining") -> "CoarseGraining
     """
     if inner.partition.k != outer.codomain_size:
         raise BaseMismatchError("inner coarse-graining not based on outer's codomain")
-    order = outer.index_to_block
-    pairs = []
-    for g, label in zip(inner.partition.blocks, inner.labels):
-        members = sorted(i for j in g for i in outer.partition.blocks[order[j]])
-        pairs.append((tuple(members), label))
-    pairs.sort(key=lambda t: t[0][0])
-    return CoarseGraining(
-        Partition.of([p[0] for p in pairs]),
-        tuple(p[1] for p in pairs),
-        base=outer.base,
-    )
+    return _from_values([inner.value_at(j) for j in outer.to], outer.base)
 
 
 class Sieve:
@@ -301,8 +305,8 @@ class Sieve:
     Stored as `mask`, a bitmask over the interned admissible partitions
     of (k, mode) in sorted order; `partitions` is the frozenset view.
     Membership of a partition implies membership of every admissible
-    coarsening; construction enforces this, so every Sieve in the
-    program is genuinely a sieve.
+    coarsening.  The constructor checks this for the partitions it is
+    given; the masks the kernel builds are up-closed by construction.
     """
 
     __slots__ = ("k", "mode", "mask", "_lattice", "_partitions")
@@ -315,20 +319,21 @@ class Sieve:
             if i is None:
                 raise InputError(f"partition {p} not admissible at k={k} in {mode.name}")
             mask |= 1 << i
-        self._set(k, mode, lattice, mask)
-
-    @classmethod
-    def _of_mask(cls, k: int, mode: Mode, mask: int) -> "Sieve":
-        sieve = cls.__new__(cls)
-        sieve._set(k, mode, _lattice(k, mode), mask)
-        return sieve
-
-    def _set(self, k: int, mode: Mode, lattice: _Lattice, mask: int) -> None:
         for i in _bits(mask):
             missing = lattice.up[i] & ~mask
             if missing:
                 q = lattice.parts[next(_bits(missing))]
                 raise InputError(f"not up-closed: {lattice.parts[i]} present but coarsening {q} missing")
+        self._set(k, mode, lattice, mask)
+
+    @classmethod
+    def _of_mask(cls, k: int, mode: Mode, mask: int) -> "Sieve":
+        """The sieve of an up-closed mask, unchecked."""
+        sieve = cls.__new__(cls)
+        sieve._set(k, mode, _lattice(k, mode), mask)
+        return sieve
+
+    def _set(self, k: int, mode: Mode, lattice: _Lattice, mask: int) -> None:
         self.k = k
         self.mode = mode
         self.mask = mask
@@ -422,10 +427,7 @@ class Sieve:
         with f belongs here."""
         if f.partition.k != self.k:
             raise BaseMismatchError("coarse-graining not based at this sieve's base")
-        mask = 0
-        for base_bit, bit in _pullback_table(f.partition, f.index_to_block, self.mode):
-            if self.mask & base_bit:
-                mask |= bit
+        mask = sum(bit for base_bit, bit in _pullback_table(f.to, self.mode) if self.mask & base_bit)
         return Sieve._of_mask(f.codomain_size, self.mode, mask)
 
     def classify(self) -> Classification:
@@ -439,14 +441,14 @@ class Sieve:
 
 
 @lru_cache(maxsize=None)
-def _pullback_table(fibers: Partition, order: tuple[int, ...], mode: Mode) -> tuple[tuple[int, int], ...]:
+def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[tuple[int, int], ...]:
     """One (base bit, codomain bit) pair per admissible partition of the
-    codomain of a coarse-graining with these fibers and block order; the
-    base bit is that of the composite partition."""
-    base = _lattice(fibers.k, mode).index
+    codomain of a coarse-graining with this index map; the base bit is
+    that of the composite partition."""
+    base = _lattice(len(to), mode).index
     return tuple(
-        (1 << base[_composite(fibers, order, p)], 1 << j)
-        for j, p in enumerate(_lattice(fibers.n_blocks, mode).parts)
+        (1 << base[_composite(to, p)], 1 << j)
+        for j, p in enumerate(_lattice(max(to) + 1, mode).parts)
     )
 
 
@@ -470,7 +472,7 @@ def _mass_groups(k: int, mode: Mode, indices: frozenset[int]) -> tuple[tuple[tup
     that meet `indices`: one (sorted union, group mask) pair per union."""
     groups: dict[tuple[int, ...], int] = {}
     for i, p in enumerate(_lattice(k, mode).parts):
-        union = tuple(sorted(x for b in p.blocks if indices.intersection(b) for x in b))
+        union = tuple(sorted(_image(p, indices)))
         groups[union] = groups.get(union, 0) | 1 << i
     return tuple(groups.items())
 
@@ -479,7 +481,11 @@ def mass_sieve(
     k: int, mode: Mode, indices: Iterable[int], weights: Sequence[float], cutoff: float
 ) -> Sieve:
     """Sieve of the admissible partitions whose blocks meeting `indices`
-    carry total weight at least `cutoff` (weights per spectrum index)."""
+    carry total weight at least `cutoff` (weights per spectrum index).
+    Weights are clamped at 0 (a density matrix may have eigenvalues down
+    to -tau_psd): a float sum of non-negative terms never shrinks as
+    terms are added, so coarser partitions keep the mass."""
+    weights = [max(w, 0.0) for w in weights]
     mask = 0
     for union, group in _mass_groups(k, mode, frozenset(indices)):
         if sum(weights[i] for i in union) >= cutoff:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -23,12 +24,13 @@ from .errors import (
     NotHermitianError,
     ZeroNormError,
 )
-from .sieves import Partition
+from .sieves import Partition, _image
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances; every field can be overridden."""
+    """Numerical tolerances; every field can be overridden and must be
+    finite and non-negative (every comparison with NaN is false)."""
 
     tau_herm: float = 1e-9
     tau_proj: float = 1e-9
@@ -37,6 +39,11 @@ class Tolerances:
     tau_tr: float = 1e-9
     tau_one: float = 1e-9
     eps_group: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if not 0.0 <= value < math.inf:
+                raise InputError(f"tolerance {name} must be finite and non-negative, got {value!r}")
 
     def replace(self, **overrides) -> "Tolerances":
         known = {f.name for f in dataclasses.fields(self)}
@@ -334,11 +341,7 @@ def coarse_grained_projector(
     if any(i < 0 or i >= a.k for i in idx):
         raise InputError(f"eigenvalue index outside 0..{a.k - 1}")
     fibers, _ = value_fibers(a, f, tol)
-    chosen = []
-    for block in fibers.blocks:
-        if idx & set(block):
-            chosen.extend(block)
-    return a.projector(chosen)
+    return a.projector(_image(fibers, idx))
 
 
 class QuantumState:

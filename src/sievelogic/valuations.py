@@ -225,15 +225,14 @@ def check_functional_rule(
     of the coarsened proposition must be the pullback of the original
     sieve."""
     report = Report("functional rule")
-    fibers, labels = value_fibers(a, h, nu.tol)
-    cg = CoarseGraining(fibers, labels, base=a)
+    cg = CoarseGraining(*value_fibers(a, h, nu.tol), base=a)
     b = apply_function(a, h, nu.tol)
     idx = frozenset(delta)
     lhs = nu.evaluate(Proposition(b, cg.image_indices(idx)))
     rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
     report.record(
         lhs == rhs,
-        lambda: f"coarsened sieve differs from pullback for map {labels} on subset {sorted(idx)}",
+        lambda: f"coarsened sieve differs from pullback for map {cg.labels} on subset {sorted(idx)}",
     )
     return report.finish()
 
@@ -351,8 +350,7 @@ def check_naturality(
     subset (proposition square) and every eigenvalue (pointwise square
     through the singleton embedding)."""
     report = Report("naturality")
-    fibers, labels = value_fibers(a, f, nu.tol)
-    cg = CoarseGraining(fibers, labels, base=a)
+    cg = CoarseGraining(*value_fibers(a, f, nu.tol), base=a)
     b = apply_function(a, f, nu.tol)
     for n in range(a.k + 1):
         for combo in itertools.combinations(range(a.k), n):
@@ -361,13 +359,13 @@ def check_naturality(
             rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
             report.record(
                 lhs == rhs,
-                lambda: f"proposition square fails on subset {sorted(idx)} for map {labels}",
+                lambda: f"proposition square fails on subset {sorted(idx)} for map {cg.labels}",
             )
     for i in range(a.k):
         lhs = nu.evaluate(Proposition(b, cg.image_indices([i])))
         rhs = nu.evaluate(Proposition(a, frozenset([i]))).pullback(cg)
         report.record(
             lhs == rhs,
-            lambda: f"pointwise square fails on eigenvalue index {i} for map {labels}",
+            lambda: f"pointwise square fails on eigenvalue index {i} for map {cg.labels}",
         )
     return report.finish()

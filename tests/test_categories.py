@@ -17,6 +17,7 @@ from sievelogic import (
     TwoValuedHom,
     apply_function,
     bell_number,
+    canonical_graining,
     check_indicator_naturality,
     compose,
     context_operator,
@@ -111,6 +112,23 @@ class TestLattice:
         assert composed.partition == direct.partition
         for i in range(4):
             assert composed.value_at(i) == direct.value_at(i)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_arrows_match_owner_map(self, k):
+        # the representative at `fine` has eigenvalue j on fine's block j,
+        # which the connecting arrow sends to the coarse block holding it
+        a = decompose(np.diag(np.arange(k, dtype=float)))
+        lattice = CoarseGrainingLattice(a)
+        for p in lattice.objects:
+            assert lattice.arrow(p) == canonical_graining(a, p)
+        for coarse, fine in itertools.product(lattice.objects, repeat=2):
+            if not coarse.coarsens(fine):
+                continue
+            owner = [next(pos for pos, c in enumerate(coarse.blocks) if set(b) <= set(c)) for b in fine.blocks]
+            arrow = lattice.arrow_between(coarse, fine)
+            assert arrow.base is lattice.operator_at(fine)
+            assert [arrow.value_at(j) for j in range(fine.n_blocks)] == [float(x) for x in owner]
+            assert arrow.to == tuple(owner)
 
     def test_arrow_matrix_consistency(self, spin1_sx):
         # the connecting arrow applied as a value map reproduces the

@@ -154,6 +154,28 @@ class TestEval:
             assert res.exit_code == 2
             assert "tau_one" in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("ks", "ks18_dim4", "--tol", "tau_proj=nan"),
+        ("axioms", "spin_one", "-v", "state:psi", "--tol", "tau_one=nan"),
+        ("eval", "spin_one", "-v", "state:psi", "-p", "Sx in {1}", "--tol", "tau_one=-1e-9"),
+    ])
+    def test_nan_or_negative_tolerance_exits_2(self, runner, args):
+        res = run(runner, *args)
+        assert res.exit_code == 2
+        assert "finite and non-negative" in res.stderr
+
+    def test_directory_input_exits_2(self, runner, tmp_path):
+        res = run(runner, "ks", str(tmp_path))
+        assert res.exit_code == 2
+        assert str(tmp_path) in res.stderr
+
+    def test_non_utf8_input_exits_2(self, runner, tmp_path):
+        f = tmp_path / "latin1.json"
+        f.write_bytes(b'{"format": "sievelogic.system/1", "name": "\xe9"}')
+        res = run(runner, "eval", str(f), "-v", "state:psi", "-p", "Sx in {1}")
+        assert res.exit_code == 2
+        assert str(f) in res.stderr
+
     def test_missing_mode_exits_2(self, runner, tmp_path):
         data = json.loads(dump_system(load_system("spin_half")))
         del data["mode"]

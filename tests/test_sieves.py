@@ -28,6 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
+from sievelogic.sieves import mass_sieve
 from helpers import (
     brute_classify,
     brute_coarsenings,
@@ -314,16 +315,22 @@ def up_set_pairs(draw):
 
 
 @st.composite
+def grainings(draw, k):
+    """A coarse-graining of a k-element base with random fibers and
+    distinct labels in random order."""
+    fibers = draw(st.sampled_from(all_partitions(k)))
+    labels = draw(st.permutations([float(x) for x in range(fibers.n_blocks)]))
+    return CoarseGraining(fibers, tuple(labels), base=None)
+
+
+@st.composite
 def graining_cases(draw):
     """An up-set and a coarse-graining of its base with random fibers and
     distinct labels in random order, so the codomain index order need not
     follow block order."""
     k = draw(st.integers(1, 5))
     mode = draw(st.sampled_from(MODES))
-    s = draw(up_sets(k, mode))
-    fibers = draw(st.sampled_from(all_partitions(k)))
-    labels = draw(st.permutations([float(x) for x in range(fibers.n_blocks)]))
-    return k, mode, s, CoarseGraining(fibers, tuple(labels), base=None)
+    return k, mode, draw(up_sets(k, mode)), draw(grainings(k))
 
 
 class TestKernelSecondRoute:
@@ -405,3 +412,68 @@ class TestKernelSecondRoute:
         delta = data.draw(st.sets(st.integers(0, k - 1)))
         got = nu.evaluate(Proposition(op, frozenset(delta))).partitions
         assert got == brute_mass_sieve(k, mode, weights, delta, r - DEFAULT_TOL.tau_one)
+
+
+@st.composite
+def graining_chains(draw):
+    """Two composable coarse-grainings f, g of a base of at most five
+    elements, and an up-set over that base."""
+    k = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(MODES))
+    f = draw(grainings(k))
+    return k, mode, draw(up_sets(k, mode)), f, draw(grainings(f.codomain_size))
+
+
+class TestIndexMapSecondRoute:
+    """`CoarseGraining.to` against brute computations from `value_at`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graining_chains(), st.data())
+    def test_index_map(self, case, data):
+        k, mode, s, f, g = case
+        values = [f.value_at(i) for i in range(k)]
+        codomain = sorted(set(values))
+        assert list(f.to) == [codomain.index(v) for v in values]
+        subset = data.draw(st.sets(st.integers(0, k - 1)))
+        assert f.image_indices(subset) == frozenset(codomain.index(values[i]) for i in subset)
+        grouping = data.draw(st.sampled_from(all_partitions(f.codomain_size)))
+
+        def group(i):
+            return grouping.block_of(codomain.index(values[i]))
+
+        joined = {frozenset(j for j in range(k) if group(j) == group(i)) for i in range(k)}
+        assert f.composite_partition(grouping) == Partition.of(joined)
+        fg = compose(f, g)
+        assert [fg.value_at(i) for i in range(k)] == [g.value_at(f.to[i]) for i in range(k)]
+        sieve = Sieve(k, mode, s)
+        assert sieve.pullback(fg) == sieve.pullback(f).pullback(g)
+
+    def test_image_rejects_outside_base(self):
+        f = CoarseGraining(Partition.of([[0, 2], [1]]), (1.0, 0.0), base=None)
+        for bad in (-1, 3):
+            with pytest.raises(InputError):
+                f.image_indices([bad])
+
+
+class TestKernelClosure:
+    """Masks the kernel builds are wrapped unchecked, so each producer
+    must return an up-closed set (brute up-closure as the oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(up_set_pairs(), st.data())
+    def test_kernel_masks_are_up_closed(self, case, data):
+        k, mode, a, b = case
+        sa, sb = Sieve(k, mode, a), Sieve(k, mode, b)
+        weights = data.draw(st.lists(st.floats(-1e-9, 1.0), min_size=k, max_size=k))
+        delta = data.draw(st.sets(st.integers(0, k - 1)))
+        # a cutoff equal to the mass of some index set puts partitions
+        # right at the boundary, where a negative weight would matter
+        cut = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+        cutoff = sum(weights[i] for i in sorted(cut))
+        built = [
+            sa.meet(sb), sa.join(sb), sa.implies(sb), sa.neg(),
+            sa.pullback(data.draw(grainings(k))),
+            mass_sieve(k, mode, delta, weights, cutoff),
+        ]
+        for s in built:
+            assert brute_up_set(s.k, mode, s.partitions) == s.partitions

@@ -65,6 +65,15 @@ class TestTolerances:
         with pytest.raises(InputError):
             DEFAULT_TOL.replace(tau_bogus=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("tau_one", float("nan")), ("tau_proj", -1.0), ("eps_group", float("inf")),
+    ])
+    def test_rejects_non_finite_and_negative(self, field, value):
+        with pytest.raises(InputError, match=field):
+            Tolerances(**{field: value})
+        with pytest.raises(InputError, match=field):
+            DEFAULT_TOL.replace(**{field: value})
+
 
 class TestClustering:
     def test_groups_by_gap(self):

@@ -16,6 +16,7 @@ from sievelogic import (
     Proposition,
     QuantumState,
     Sieve,
+    SubalgebraPoset,
     Tolerances,
     apply_function,
     canonical_graining,
@@ -28,6 +29,8 @@ from sievelogic import (
     extract_partial,
     from_spectral_data,
     is_function_of,
+    spectral_algebra,
+    valuation_sieve,
 )
 from helpers import (
     brute_consistent,
@@ -249,6 +252,24 @@ class TestTolerances:
         loose_tol = Tolerances(tau_proj=1e-6)
         with pytest.raises(InconsistentAssignmentsError):
             PartialValuation.explicit([(a, 1), (_near_e0(loose_tol), 0)], loose_tol)
+
+
+class TestNearPsdState:
+    """A density matrix may have eigenvalues down to -tau_psd; its
+    negative weights must not break the up-closure of its sieves."""
+
+    RHO = np.diag([1 - 0.9e-9, -0.5e-9, 1.4e-9])
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    def test_evaluate_and_valuation_sieve(self, mode):
+        rho = QuantumState.density(self.RHO)
+        a = decompose(np.diag([0.0, 1.0, 2.0]))
+        sieve = GeneralizedValuation.from_state(rho, mode).evaluate(Proposition(a, {0}))
+        assert Partition.discrete(3) in sieve
+        assert len(sieve) == len(Sieve.totally_true(3, mode))
+        poset = SubalgebraPoset(spectral_algebra(a), mode)
+        truth = valuation_sieve(rho, poset, Partition.discrete(3), frozenset({0}))
+        assert truth.is_true
 
 
 class TestThresholdValuation:
