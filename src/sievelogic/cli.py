@@ -139,9 +139,6 @@ def _merge_tolerances(data: dict, cli_overrides: tuple[str, ...]) -> Tolerances:
     file_part = data.get("tolerances", {})
     if not isinstance(file_part, dict):
         raise InputError("tolerances: expected an object")
-    for key, val in file_part.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise InputError(f"tolerances {key}: not a number: {val!r}")
     tol = Tolerances().replace(**file_part)
     pairs = {}
     for item in cli_overrides:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, mass_sieve
+from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, mass_sieve, subset_masses
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -311,12 +311,12 @@ def true_w(poset: SubalgebraPoset, w: Partition) -> SubalgebraSieve:
     return SubalgebraSieve._at(poset, i, poset._lattice.up[i])
 
 
-def _sieve_from_weights(
-    poset: SubalgebraPoset, w: Partition, alpha: Element, weights: Sequence[float], tol: Tolerances
+def _sieve_from_masses(
+    poset: SubalgebraPoset, w: Partition, alpha: Element, masses: Sequence[float], tol: Tolerances
 ) -> SubalgebraSieve:
     i = poset._require(w)
-    mass = mass_sieve(poset.top.n_atoms, poset.mode, alpha, weights, 1.0 - tol.tau_one)
-    return SubalgebraSieve._at(poset, i, mass.mask & poset._lattice.up[i])
+    mask = mass_sieve(poset.top.n_atoms, poset.mode, sum(1 << j for j in alpha), masses, 1.0 - tol.tau_one)
+    return SubalgebraSieve._at(poset, i, mask & poset._lattice.up[i])
 
 
 def valuation_sieve(
@@ -332,7 +332,7 @@ def valuation_sieve(
     matrix."""
     if not poset.is_element(w, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w}")
-    return _sieve_from_weights(poset, w, alpha, poset.weights(rho), tol)
+    return _sieve_from_masses(poset, w, alpha, subset_masses(poset.weights(rho)), tol)
 
 
 def check_local_valuation(
@@ -375,16 +375,16 @@ def check_restriction_compatibility(
     truth value at w2 of the coarse-grained element must equal the
     restriction of the truth value at w1."""
     report = Report("restriction compatibility")
-    weights = poset.weights(rho)
+    masses = subset_masses(poset.weights(rho))
     for w1 in poset.nodes:
         elements = poset.elements(w1)
         sieves = {
-            alpha: _sieve_from_weights(poset, w1, alpha, weights, tol)
+            alpha: _sieve_from_masses(poset, w1, alpha, masses, tol)
             for alpha in elements
         }
         for w2 in poset.down_set(w1):
             for alpha in elements:
-                lhs = _sieve_from_weights(poset, w2, _node_image(w2, alpha), weights, tol)
+                lhs = _sieve_from_masses(poset, w2, _node_image(w2, alpha), masses, tol)
                 rhs = sieves[alpha].restrict(w2)
                 report.record(
                     lhs == rhs,

@@ -427,8 +427,7 @@ class Sieve:
         with f belongs here."""
         if f.partition.k != self.k:
             raise BaseMismatchError("coarse-graining not based at this sieve's base")
-        mask = sum(bit for base_bit, bit in _pullback_table(f.to, self.mode) if self.mask & base_bit)
-        return Sieve._of_mask(f.codomain_size, self.mode, mask)
+        return Sieve._of_mask(f.codomain_size, self.mode, _pullback_mask(self.mask, f.to, self.mode))
 
     def classify(self) -> Classification:
         if not self.mask:
@@ -452,6 +451,12 @@ def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[tuple[int, int], .
     )
 
 
+def _pullback_mask(mask: int, to: tuple[int, ...], mode: Mode) -> int:
+    """The pullback of a sieve mask along a coarse-graining with index
+    map `to`: the codomain bits whose composite partition is in `mask`."""
+    return sum(bit for base_bit, bit in _pullback_table(to, mode) if mask & base_bit)
+
+
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
     """Smallest sieve containing the seed partitions."""
     lattice = _lattice(k, mode)
@@ -467,30 +472,38 @@ def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
 
 
 @lru_cache(maxsize=None)
-def _mass_groups(k: int, mode: Mode, indices: frozenset[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _mass_groups(k: int, mode: Mode, subset: int) -> tuple[tuple[int, int], ...]:
     """The admissible partitions grouped by the union of their blocks
-    that meet `indices`: one (sorted union, group mask) pair per union."""
-    groups: dict[tuple[int, ...], int] = {}
+    that meet a subset bitmask: one (union, group) mask pair per union."""
+    groups: dict[int, int] = {}
     for i, p in enumerate(_lattice(k, mode).parts):
-        union = tuple(sorted(_image(p, indices)))
+        union = sum(m for m in (sum(1 << j for j in b) for b in p.blocks) if m & subset)
         groups[union] = groups.get(union, 0) | 1 << i
     return tuple(groups.items())
 
 
-def mass_sieve(
-    k: int, mode: Mode, indices: Iterable[int], weights: Sequence[float], cutoff: float
-) -> Sieve:
-    """Sieve of the admissible partitions whose blocks meeting `indices`
-    carry total weight at least `cutoff` (weights per spectrum index).
+def subset_masses(weights: Sequence[float]) -> list[float]:
+    """The weight of every subset bitmask, m[s] = m[s ^ h] + w[h] for the
+    highest bit h of s: terms add in ascending index order from 0.
     Weights are clamped at 0 (a density matrix may have eigenvalues down
     to -tau_psd): a float sum of non-negative terms never shrinks as
     terms are added, so coarser partitions keep the mass."""
-    weights = [max(w, 0.0) for w in weights]
+    masses = [0]
+    for w in weights:
+        w = max(w, 0.0)
+        masses += [m + w for m in masses]
+    return masses
+
+
+def mass_sieve(k: int, mode: Mode, subset: int, masses: Sequence[float], cutoff: float) -> int:
+    """Mask of the admissible partitions whose blocks meeting a subset
+    bitmask carry total weight at least `cutoff`, read from a table of
+    `subset_masses`."""
     mask = 0
-    for union, group in _mass_groups(k, mode, frozenset(indices)):
-        if sum(weights[i] for i in union) >= cutoff:
+    for union, group in _mass_groups(k, mode, subset):
+        if masses[union] >= cutoff:
             mask |= group
-    return Sieve._of_mask(k, mode, mask)
+    return mask
 
 
 # -- DOT export ------------------------------------------------------

@@ -11,8 +11,8 @@ Matrix closeness is always measured in the max-abs entry norm.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -29,8 +29,8 @@ from .sieves import Partition, _image
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances; every field can be overridden and must be
-    finite and non-negative (every comparison with NaN is false)."""
+    """Numerical tolerances; every field can be overridden and must be a
+    finite non-negative real, not a bool (comparisons with NaN are false)."""
 
     tau_herm: float = 1e-9
     tau_proj: float = 1e-9
@@ -42,6 +42,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"tolerance {name} must be a real number, got {value!r}")
             if not 0.0 <= value < math.inf:
                 raise InputError(f"tolerance {name} must be finite and non-negative, got {value!r}")
 
@@ -100,20 +102,32 @@ def projector_leq(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
 
 
 def _check_resolution(mats: Sequence[np.ndarray], tol: Tolerances, noun: str) -> None:
-    """Raise InputError naming the first way the matrices fail to be
-    nonzero, mutually orthogonal projectors that sum to the identity."""
-    for i, m in enumerate(mats):
-        if not is_hermitian(m, tol.tau_herm):
+    """Raise InputError naming the first way the equally shaped matrices
+    fail to be nonzero, mutually orthogonal projectors that sum to the
+    identity: per index (Hermitian, idempotent, nonzero), then per pair
+    (i, j > i) in ascending order, then for the sum, all on one stack."""
+    p = np.stack(mats)
+    herm = _stack_max_abs(p - p.conj().transpose(0, 2, 1))
+    idem = _stack_max_abs(p @ p - p)
+    size = _stack_max_abs(p)
+    for i in range(len(p)):
+        if herm[i] > tol.tau_herm:
             raise InputError(f"{noun} {i} is not Hermitian")
-        if max_abs(m @ m - m) > tol.tau_proj:
+        if idem[i] > tol.tau_proj:
             raise InputError(f"{noun} {i} is not idempotent")
-        if max_abs(m) <= tol.tau_proj:
+        if size[i] <= tol.tau_proj:
             raise InputError(f"{noun} {i} is zero")
-    for i, j in itertools.combinations(range(len(mats)), 2):
-        if max_abs(mats[i] @ mats[j]) > tol.tau_proj:
-            raise InputError(f"{noun}s {i} and {j} are not orthogonal")
-    if max_abs(sum(mats) - np.eye(mats[0].shape[0])) > tol.tau_proj:
+    for i in range(len(p) - 1):  # one batched product per row: memory n d^2, not n^2 d^2
+        bad = np.flatnonzero(_stack_max_abs(p[i] @ p[i + 1:]) > tol.tau_proj)
+        if bad.size:
+            raise InputError(f"{noun}s {i} and {i + 1 + bad[0]} are not orthogonal")
+    if max_abs(p.sum(axis=0) - np.eye(p.shape[1])) > tol.tau_proj:
         raise InputError(f"{noun}s do not sum to the identity")
+
+
+def _stack_max_abs(m: np.ndarray) -> np.ndarray:
+    """max_abs of each matrix in a stack over the last two axes."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def _subset_sum(mats: Sequence[np.ndarray], idx: AbstractSet[int], noun: str) -> np.ndarray:
@@ -148,6 +162,12 @@ def cluster_values(values: Sequence[float], eps: float) -> list[list[int]]:
                 f"values {values[g[0]]!r}..{values[g[-1]]!r} merge only through a chain wider than {eps:g}"
             )
     return groups
+
+
+def _fiber_value(values: Sequence[float]) -> float:
+    """The mean of a cluster of values; for one value, that value plus
+    0.0, bit-identical to the mean (both turn -0.0 into 0.0)."""
+    return values[0] + 0.0 if len(values) == 1 else float(np.mean(values))
 
 
 class SpectralOperator:
@@ -197,6 +217,8 @@ class SpectralOperator:
 
     def eigenvalue_index(self, value: float, eps: float) -> int:
         """Index of the eigenvalue matching `value` within eps."""
+        if not math.isfinite(value):
+            raise InputError(f"eigenvalue {value!r} is not finite")
         diffs = [abs(v - value) for v in self.eigenvalues]
         i = int(np.argmin(diffs))
         if diffs[i] > eps:
@@ -223,7 +245,7 @@ def decompose(m, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     eigenvalues = []
     projectors = []
     for g in groups:
-        eigenvalues.append(float(np.mean([raw[i] for i in g])))
+        eigenvalues.append(_fiber_value([float(raw[i]) for i in g]))
         cols = vecs[:, g]
         p = cols @ cols.conj().T
         projectors.append((p + p.conj().T) / 2.0)
@@ -270,7 +292,7 @@ def value_fibers(
     groups = cluster_values(values, tol.eps_group)
     pairs = []
     for g in groups:
-        label = float(np.mean([values[i] for i in g]))
+        label = _fiber_value([values[i] for i in g])
         pairs.append((tuple(sorted(g)), label))
     pairs.sort(key=lambda t: t[0][0])
     return Partition.of([p[0] for p in pairs]), tuple(p[1] for p in pairs)
@@ -279,7 +301,12 @@ def value_fibers(
 def apply_function(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     """The operator f(a): same eigenbasis, eigenvalues pushed through f,
     fibers of f merged into single spectral points."""
-    fibers, labels = value_fibers(a, f, tol)
+    return _coarse_operator(a, *value_fibers(a, f, tol), tol)
+
+
+def _coarse_operator(a: SpectralOperator, fibers: Partition, labels, tol: Tolerances) -> SpectralOperator:
+    """The operator with the fiber labels as eigenvalues, ascending, and
+    the sum of a's projectors over each fiber as its projector."""
     order = sorted(range(len(labels)), key=lambda pos: labels[pos])
     eigenvalues = [labels[pos] for pos in order]
     projectors = [a.projector(fibers.blocks[pos]) for pos in order]

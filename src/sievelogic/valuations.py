@@ -23,7 +23,7 @@ of a coarse-graining and never on its labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -35,8 +35,11 @@ from .sieves import (
     Mode,
     Partition,
     Sieve,
+    _bits,
     _lattice,
+    _pullback_mask,
     mass_sieve,
+    subset_masses,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -44,26 +47,34 @@ from .spectral import (
     SpectralOperator,
     Tolerances,
     ValueMap,
+    _coarse_operator,
     _linked,
-    apply_function,
     common_coarsening,
     is_function_of,
     value_fibers,
 )
 
 
+def _subset_bits(a: SpectralOperator, indices: Iterable[int]) -> int:
+    """The bitmask of a set of a's eigenvalue indices (bit i = index i)."""
+    idx = {int(i) for i in indices}
+    if any(i < 0 or i >= a.k for i in idx):
+        raise InputError(f"eigenvalue index outside 0..{a.k - 1}")
+    return sum(1 << i for i in idx)
+
+
 @dataclass(frozen=True)
 class Proposition:
     """The assertion that an observable's value lies in a spectrum subset,
-    given by eigenvalue indices."""
+    given by eigenvalue indices; `bits` is the subset as a bitmask."""
 
     operator: SpectralOperator
     indices: frozenset[int]
+    bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
-        if any(i < 0 or i >= self.operator.k for i in self.indices):
-            raise InputError(f"eigenvalue index outside 0..{self.operator.k - 1}")
+        object.__setattr__(self, "bits", _subset_bits(self.operator, self.indices))
 
     @staticmethod
     def by_values(operator: SpectralOperator, values: Iterable[float], eps: float = DEFAULT_TOL.eps_group) -> "Proposition":
@@ -150,8 +161,9 @@ class GeneralizedValuation:
     """A sieve-valued truth assignment over a fixed sieve mode.
 
     The mode is part of the valuation, so sieves from different modes can
-    never be compared by accident.  Results are cached per (operator,
-    subset); all data is immutable.
+    never be compared by accident.  Every answer comes from `sieve_mask`,
+    which fills one row of 2^k sieve masks per operator lazily, one per
+    subset bitmask; the audits compare these ints directly.
     """
 
     def __init__(self, kind, mode, *, partial=None, state=None, r=1.0, tol=DEFAULT_TOL):
@@ -161,8 +173,7 @@ class GeneralizedValuation:
         self.state = state
         self.r = float(r)
         self.tol = tol
-        self._sieves: dict = {}
-        self._domains: dict = {}
+        self._rows: dict = {}
 
     @staticmethod
     def from_partial(v: PartialValuation, mode: Mode, tol: Tolerances = DEFAULT_TOL) -> "GeneralizedValuation":
@@ -180,12 +191,13 @@ class GeneralizedValuation:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
 
-    def _weighted_domains(self, a: SpectralOperator) -> list[tuple[tuple[float, ...], int]]:
-        """The (weights, domain mask) pairs of the operator a; domains of
-        a partial valuation are decided under its own tolerances."""
+    def _weighted_domains(self, a: SpectralOperator) -> list[tuple[list[float], int]]:
+        """The (subset-mass table, domain mask) pairs of the operator a;
+        domains of a partial valuation are decided under its own
+        tolerances."""
         lattice = _lattice(a.k, self.mode)
         if self.kind != "partial":
-            return [(self.state.weights(a.projectors), lattice.full)]
+            return [(subset_masses(self.state.weights(a.projectors)), lattice.full)]
         tol = self.partial.tol
         pairs = []
         for c, idx in self.partial.members:
@@ -195,22 +207,39 @@ class GeneralizedValuation:
             if i is None:
                 continue  # the one-block partition without constants: empty domain
             held = _linked(a, c.projectors[idx], tol)[0]
-            pairs.append((tuple(float(j == held) for j in range(a.k)), lattice.up[i]))
+            pairs.append((subset_masses([float(j == held) for j in range(a.k)]), lattice.up[i]))
         return pairs
 
-    def evaluate(self, p: Proposition) -> Sieve:
-        sieve = self._sieves.get(p)
-        if sieve is None:
-            a = p.operator
-            pairs = self._domains.get(a)
-            if pairs is None:
-                pairs = self._domains[a] = self._weighted_domains(a)
+    def sieve_mask(self, a: SpectralOperator, s: int) -> int:
+        """The sieve mask of the proposition that a's value lies in the
+        subset with bitmask s (bit i = eigenvalue index i)."""
+        if a not in self._rows:
+            self._rows[a] = (self._weighted_domains(a), [None] * (1 << a.k))
+        pairs, row = self._rows[a]
+        mask = row[s]
+        if mask is None:
             cutoff = self.r - self.tol.tau_one
             mask = 0
-            for weights, domain in pairs:
-                mask |= mass_sieve(a.k, self.mode, p.indices, weights, cutoff).mask & domain
-            sieve = self._sieves[p] = Sieve._of_mask(a.k, self.mode, mask)
-        return sieve
+            for masses, domain in pairs:
+                mask |= mass_sieve(a.k, self.mode, s, masses, cutoff) & domain
+            row[s] = mask
+        return mask
+
+    def evaluate(self, p: Proposition) -> Sieve:
+        return Sieve._of_mask(p.operator.k, self.mode, self.sieve_mask(p.operator, p.bits))
+
+
+def _squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap):
+    """The coarse-graining of a by f, and the test of its square on a
+    subset bitmask s: whether the sieve of "f(a) in f(s)" is the
+    pullback of the sieve of "a in s"."""
+    fibers, labels = value_fibers(a, f, nu.tol)
+    cg = CoarseGraining(fibers, labels, base=a)
+    b = _coarse_operator(a, fibers, labels, nu.tol)
+    images = [0]  # images[s] = images[s ^ h] | f(h) for the highest bit h of s
+    for j in cg.to:
+        images += [m | 1 << j for m in images]
+    return cg, lambda s: nu.sieve_mask(b, images[s]) == _pullback_mask(nu.sieve_mask(a, s), cg.to, nu.mode)
 
 
 class DisjunctionStrength(Enum):
@@ -225,14 +254,11 @@ def check_functional_rule(
     of the coarsened proposition must be the pullback of the original
     sieve."""
     report = Report("functional rule")
-    cg = CoarseGraining(*value_fibers(a, h, nu.tol), base=a)
-    b = apply_function(a, h, nu.tol)
-    idx = frozenset(delta)
-    lhs = nu.evaluate(Proposition(b, cg.image_indices(idx)))
-    rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
+    cg, square = _squares(nu, a, h)
+    s = _subset_bits(a, delta)
     report.record(
-        lhs == rhs,
-        lambda: f"coarsened sieve differs from pullback for map {cg.labels} on subset {sorted(idx)}",
+        square(s),
+        lambda: f"coarsened sieve differs from pullback for map {cg.labels} on subset {list(_bits(s))}",
     )
     return report.finish()
 
@@ -242,26 +268,24 @@ def check_axioms(nu: GeneralizedValuation, a: SpectralOperator) -> Report:
     spectrum; the unit condition is a violation for state-family
     valuations and an informational note for partial-family ones."""
     report = Report("valuation axioms")
-    subsets = [frozenset(c) for n in range(a.k + 1) for c in itertools.combinations(range(a.k), n)]
-    sieves = {s: nu.evaluate(Proposition(a, s)) for s in subsets}
+    sieves = [nu.sieve_mask(a, s) for s in range(1 << a.k)]
+    full = _lattice(a.k, nu.mode).full
+    true = [m == full != 0 for m in sieves]  # an empty lattice is only totally false
 
-    report.record(
-        sieves[frozenset()].classify() is Classification.TOTALLY_FALSE,
-        "null condition: empty subset not totally false",
-    )
-    for d1, d2 in itertools.product(subsets, repeat=2):
-        if d1 <= d2:
-            report.record(
-                sieves[d1].leq(sieves[d2]),
-                lambda: f"monotonicity fails for {sorted(d1)} within {sorted(d2)}",
-            )
-        if not (d1 & d2):
-            if sieves[d1].classify() is Classification.TOTALLY_TRUE:
+    report.record(not sieves[0], "null condition: empty subset not totally false")
+    for d1, m1 in enumerate(sieves):
+        for d2, m2 in enumerate(sieves):
+            if not d1 & ~d2:
                 report.record(
-                    sieves[d2].classify() is not Classification.TOTALLY_TRUE,
-                    lambda: f"exclusivity fails for disjoint {sorted(d1)} / {sorted(d2)}",
+                    not m1 & ~m2,
+                    lambda: f"monotonicity fails for {list(_bits(d1))} within {list(_bits(d2))}",
                 )
-    unit_true = sieves[frozenset(range(a.k))].classify() is Classification.TOTALLY_TRUE
+            if not d1 & d2 and true[d1]:
+                report.record(
+                    not true[d2],
+                    lambda: f"exclusivity fails for disjoint {list(_bits(d1))} / {list(_bits(d2))}",
+                )
+    unit_true = true[-1]
     if nu.kind == "partial":
         status = "holds" if unit_true else "violated (legal for partial-valuation families)"
         report.notes.append(f"unit condition: {status}")
@@ -276,11 +300,11 @@ def check_disjunction_strength(
 ) -> DisjunctionStrength:
     """Whether the sieve of a union equals the join of the sieves, or
     strictly exceeds it."""
-    s1 = frozenset(d1)
-    s2 = frozenset(d2)
-    union = nu.evaluate(Proposition(a, s1 | s2))
-    joined = nu.evaluate(Proposition(a, s1)).join(nu.evaluate(Proposition(a, s2)))
-    if not joined.leq(union):
+    s1 = _subset_bits(a, d1)
+    s2 = _subset_bits(a, d2)
+    union = nu.sieve_mask(a, s1 | s2)
+    joined = nu.sieve_mask(a, s1) | nu.sieve_mask(a, s2)
+    if joined & ~union:
         raise InputError("join exceeds the union sieve; monotonicity is broken")
     return DisjunctionStrength.EQUALITY if union == joined else DisjunctionStrength.STRICT_INEQUALITY
 
@@ -350,22 +374,16 @@ def check_naturality(
     subset (proposition square) and every eigenvalue (pointwise square
     through the singleton embedding)."""
     report = Report("naturality")
-    cg = CoarseGraining(*value_fibers(a, f, nu.tol), base=a)
-    b = apply_function(a, f, nu.tol)
-    for n in range(a.k + 1):
-        for combo in itertools.combinations(range(a.k), n):
-            idx = frozenset(combo)
-            lhs = nu.evaluate(Proposition(b, cg.image_indices(idx)))
-            rhs = nu.evaluate(Proposition(a, idx)).pullback(cg)
-            report.record(
-                lhs == rhs,
-                lambda: f"proposition square fails on subset {sorted(idx)} for map {cg.labels}",
-            )
-    for i in range(a.k):
-        lhs = nu.evaluate(Proposition(b, cg.image_indices([i])))
-        rhs = nu.evaluate(Proposition(a, frozenset([i]))).pullback(cg)
+    cg, square = _squares(nu, a, f)
+    squares = [square(s) for s in range(1 << a.k)]
+    for s, ok in enumerate(squares):
         report.record(
-            lhs == rhs,
+            ok,
+            lambda: f"proposition square fails on subset {list(_bits(s))} for map {cg.labels}",
+        )
+    for i in range(a.k):
+        report.record(
+            squares[1 << i],
             lambda: f"pointwise square fails on eigenvalue index {i} for map {cg.labels}",
         )
     return report.finish()

@@ -345,19 +345,25 @@ def _common_value(b: SpectralOperator, members, tol):
     return None
 
 
-def brute_partial_sieve(a: SpectralOperator, members, delta, mode: Mode, tol) -> frozenset[Partition]:
-    """The partial valuation's sieve of "a in delta" by its definition:
-    for every admissible partition q, the coarse observable with block
-    positions as eigenvalues is built, and q is in when some member's
-    algebra holds it and the block its value selects meets delta."""
-    delta = frozenset(delta)
-    out = set()
+def brute_partial_blocks(a: SpectralOperator, members, mode: Mode, tol) -> dict[Partition, frozenset[int]]:
+    """Per admissible partition q whose coarse observable (block
+    positions as eigenvalues, built afresh) some member's algebra
+    holds, the block of q that the member's value selects."""
+    out = {}
     for q in admissible_partitions(a.k, mode):
         b = apply_function(a, [q.block_of(i) for i in range(a.k)], tol)
         v = _common_value(b, members, tol)
-        if v is not None and delta & set(q.blocks[round(v)]):
-            out.add(q)
-    return frozenset(out)
+        if v is not None:
+            out[q] = frozenset(q.blocks[round(v)])
+    return out
+
+
+def brute_partial_sieve(a: SpectralOperator, members, delta, mode: Mode, tol) -> frozenset[Partition]:
+    """The partial valuation's sieve of "a in delta" by its definition:
+    q is in when some member's algebra holds q's coarse observable and
+    the block its value selects meets delta."""
+    delta = frozenset(delta)
+    return frozenset(q for q, block in brute_partial_blocks(a, members, mode, tol).items() if delta & block)
 
 
 def brute_consistent(members, tol) -> bool:

@@ -164,6 +164,15 @@ class TestEval:
         assert res.exit_code == 2
         assert "finite and non-negative" in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("-v", "state:psi", "-p", "Sz in {nan}"),
+        ("-v", "partial:Sz=nan", "-p", "Sz in {0.5}"),
+    ])
+    def test_nan_eigenvalue_exits_2(self, runner, args):
+        res = run(runner, "eval", "spin_half", *args)
+        assert res.exit_code == 2
+        assert "nan" in res.stderr
+
     def test_directory_input_exits_2(self, runner, tmp_path):
         res = run(runner, "ks", str(tmp_path))
         assert res.exit_code == 2

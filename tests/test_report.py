@@ -102,9 +102,8 @@ def test_local_valuation_text():
 class _Singletons(GeneralizedValuation):
     """Broken on purpose: exactly the one-element subsets are true."""
 
-    def evaluate(self, p):
-        k = p.operator.k
-        return Sieve.totally_true(k, self.mode) if len(p.indices) == 1 else Sieve.totally_false(k, self.mode)
+    def sieve_mask(self, a, s):
+        return Sieve.totally_true(a.k, self.mode).mask if bin(s).count("1") == 1 else 0
 
 
 class _OnlyOn(GeneralizedValuation):
@@ -114,10 +113,8 @@ class _OnlyOn(GeneralizedValuation):
         super().__init__(*args, **kwargs)
         self.op = op
 
-    def evaluate(self, p):
-        k = p.operator.k
-        true = p.operator is self.op and p.indices
-        return Sieve.totally_true(k, self.mode) if true else Sieve.totally_false(k, self.mode)
+    def sieve_mask(self, a, s):
+        return Sieve.totally_true(a.k, self.mode).mask if a is self.op and s else 0
 
 
 def test_axioms_text():

@@ -28,7 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import mass_sieve
+from sievelogic.sieves import mass_sieve, subset_masses
 from helpers import (
     brute_classify,
     brute_coarsenings,
@@ -473,7 +473,7 @@ class TestKernelClosure:
         built = [
             sa.meet(sb), sa.join(sb), sa.implies(sb), sa.neg(),
             sa.pullback(data.draw(grainings(k))),
-            mass_sieve(k, mode, delta, weights, cutoff),
+            Sieve._of_mask(k, mode, mass_sieve(k, mode, sum(1 << i for i in delta), subset_masses(weights), cutoff)),
         ]
         for s in built:
             assert brute_up_set(s.k, mode, s.partitions) == s.partitions

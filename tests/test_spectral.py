@@ -48,6 +48,34 @@ class TestResolutionCheck:
             from_spectral_data(np.arange(len(mats), dtype=float), mats)
 
 
+_E = [np.diag(row).astype(float) for row in np.eye(3)]
+
+# The first failure of a resolution, in checking order: per index
+# (Hermitian, idempotent, nonzero), then per pair, then the sum.
+FIRST_FAILURES = [
+    ("non-Hermitian", [_E[0], np.array([[0, 0, 0], [1, 1, 0], [0, 0, 0]]), _E[2]], "atom 1 is not Hermitian"),
+    ("non-idempotent before a later non-Hermitian",
+     [_E[0], _E[1] * 2, np.array([[0, 0, 0], [0, 0, 0], [1, 0, 1]])], "atom 1 is not idempotent"),
+    ("zero", [_E[0] + _E[1], np.zeros((3, 3)), _E[2]], "atom 1 is zero"),
+    ("first non-orthogonal pair", [_E[0], _E[1], _E[1], _E[0]], "atoms 0 and 3 are not orthogonal"),
+    ("bad sum", [_E[0], _E[1]], "atoms do not sum to the identity"),
+]
+
+
+class TestResolutionFirstFailure:
+    @pytest.mark.parametrize("mats, text", [c[1:] for c in FIRST_FAILURES],
+                             ids=[c[0] for c in FIRST_FAILURES])
+    def test_exact_text(self, mats, text):
+        with pytest.raises(InputError) as err:
+            BooleanContext(mats)
+        assert str(err.value) == text
+
+    def test_spectral_projector_noun(self):
+        with pytest.raises(InputError) as err:
+            from_spectral_data([0.0, 1.0, 2.0, 3.0], [_E[0], _E[1], _E[1], _E[0]])
+        assert str(err.value) == "spectral projectors 0 and 3 are not orthogonal"
+
+
 class TestTolerances:
     def test_defaults(self):
         assert DEFAULT_TOL.tau_one == 1e-9
@@ -73,6 +101,14 @@ class TestTolerances:
             Tolerances(**{field: value})
         with pytest.raises(InputError, match=field):
             DEFAULT_TOL.replace(**{field: value})
+
+
+    @pytest.mark.parametrize("value", ["abc", None, True, [1e-9]])
+    def test_rejects_non_real_and_bool(self, value):
+        with pytest.raises(InputError, match="tau_one"):
+            Tolerances(tau_one=value)
+        with pytest.raises(InputError, match="tau_one"):
+            DEFAULT_TOL.replace(tau_one=value)
 
 
 class TestClustering:

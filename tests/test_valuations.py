@@ -29,12 +29,16 @@ from sievelogic import (
     extract_partial,
     from_spectral_data,
     is_function_of,
+    prob,
     spectral_algebra,
     valuation_sieve,
+    valuations,
 )
 from helpers import (
     brute_consistent,
     brute_induced_sieve,
+    brute_mass_sieve,
+    brute_partial_blocks,
     brute_partial_sieve,
     rand_density_state,
     rand_operator,
@@ -163,10 +167,15 @@ class TestStateValuation:
         for idx in ([0], [1], [2], [0, 1], [0, 2], [0, 1, 2]):
             assert nu.evaluate(Proposition(spin1_sx, frozenset(idx))).neg().partitions == frozenset()
 
-    def test_caching_returns_identical_sieve(self, spin1_sx, spin1_psi):
+    def test_caching_computes_each_mask_once(self, spin1_sx, spin1_psi, monkeypatch):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
         p = Proposition(spin1_sx, frozenset([2]))
-        assert nu.evaluate(p) is nu.evaluate(p)
+        first = nu.evaluate(p)
+        calls = []
+        monkeypatch.setattr(valuations, "mass_sieve", lambda *args: calls.append(args))
+        assert nu.evaluate(p) == first
+        assert nu.sieve_mask(spin1_sx, 0b100) == first.mask
+        assert calls == []
 
 
 class TestPartialFamilyValuation:
@@ -539,6 +548,73 @@ class TestPartialSecondRoute:
             if got is not None:
                 table = [x.eigenvalue_index(got[j], 1e-8) for j in range(m.k)]
                 assert table == [x.eigenvalue_index(want[j], 1e-8) for j in range(m.k)]
+
+
+def _supported_state(rng, a, kind):
+    """A vector or density state carried by a random nonempty set of a's
+    eigenspaces, so that sieves other than the extremes occur."""
+    support = [i for i in range(a.k) if rng.random() < 0.6] or [int(rng.integers(a.k))]
+
+    def vector():
+        v = np.zeros(a.dim, dtype=complex)
+        for i in support:
+            g = a.projectors[i] @ (rng.normal(size=a.dim) + 1j * rng.normal(size=a.dim))
+            v += rng.uniform(0.2, 1.0) * g / np.linalg.norm(g)
+        return v / np.linalg.norm(v)
+
+    if kind == "vector":
+        return QuantumState.vector(vector())
+    return QuantumState.density(sum(np.outer(v, v.conj()) for v in (vector(), vector())) / 2.0)
+
+
+class TestMaskRowSecondRoute:
+    """Every entry of a valuation's per-operator row of sieve masks,
+    read through `sieve_mask` on each subset bitmask, against the
+    block-mass and per-partition definitions."""
+
+    @staticmethod
+    def _row(nu, a):
+        return [Sieve._of_mask(a.k, nu.mode, nu.sieve_mask(a, s)).partitions for s in range(1 << a.k)]
+
+    @staticmethod
+    def _subset(s):
+        return frozenset(i for i in range(s.bit_length()) if s >> i & 1)
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("kind", ["vector", "density", "threshold"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_state_rows(self, k, kind, mode):
+        rng = np.random.default_rng([k, len(kind), mode is Mode.WITH_CONSTANTS])
+        for _ in range(3):
+            a = rand_operator(rng, k + int(rng.integers(0, 3)), k)
+            state = _supported_state(rng, a, kind)
+            if kind == "threshold":
+                r = float(rng.uniform(0.05, 1.0))
+                nu = GeneralizedValuation.threshold(state, r, mode)
+            else:
+                r = 1.0
+                nu = GeneralizedValuation.from_state(state, mode)
+            weights = [prob(state, p) for p in a.projectors]
+            cutoff = r - DEFAULT_TOL.tau_one
+            want = [brute_mass_sieve(k, mode, weights, self._subset(s), cutoff) for s in range(1 << k)]
+            assert self._row(nu, a) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(partial_cases())
+    def test_partial_rows(self, case):
+        a, members, mode, _ = case
+        if len(members) == 1:
+            v = PartialValuation.maximal(*members[0])
+        elif brute_consistent(members, DEFAULT_TOL):
+            v = PartialValuation.explicit(members)
+        else:
+            return
+        nu = GeneralizedValuation.from_partial(v, mode)
+        blocks = brute_partial_blocks(a, members, mode, DEFAULT_TOL)
+        want = [
+            frozenset(q for q, block in blocks.items() if self._subset(s) & block) for s in range(1 << a.k)
+        ]
+        assert self._row(nu, a) == want
 
 
 class TestNaturality:
