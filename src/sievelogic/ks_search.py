@@ -33,9 +33,8 @@ import numpy as np
 
 from .contexts import BooleanContext
 from .errors import InputError, StillColorableError
-from .spectral import DEFAULT_TOL, Tolerances
+from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances
 from .valuations import PartialValuation
-from .spectral import from_spectral_data
 
 # Per context, one (ones, zeros) pair of class masks per atom.
 AtomMasks = tuple[tuple[int, int], ...]
@@ -293,10 +292,10 @@ def minimal_uncolorable_subfamily(fam: ContextFamily) -> ContextFamily:
     return fam._restrict(keep)
 
 
-def context_operator(ctx: BooleanContext, tol: Tolerances = DEFAULT_TOL):
+def context_operator(ctx: BooleanContext) -> SpectralOperator:
     """An observable whose eigenprojectors are the context's atoms, with
-    eigenvalue i on atom i."""
-    return from_spectral_data(tuple(float(i) for i in range(ctx.n_atoms)), ctx.atoms, tol)
+    eigenvalue i on atom i; the context has checked the atoms."""
+    return SpectralOperator._of_checked([float(i) for i in range(ctx.n_atoms)], ctx.atoms)
 
 
 def section_to_partial_valuation(
@@ -310,5 +309,5 @@ def section_to_partial_valuation(
         raise InputError("witness does not fit the family")
     assignments = []
     for ci, ctx in enumerate(fam.contexts):
-        assignments.append((context_operator(ctx, tol), w.chosen[ci]))
+        assignments.append((context_operator(ctx), w.chosen[ci]))
     return PartialValuation.explicit(assignments, tol)

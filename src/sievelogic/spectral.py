@@ -171,40 +171,43 @@ def _fiber_value(values: Sequence[float]) -> float:
 
 
 class SpectralOperator:
-    """A Hermitian matrix with resolved finite spectrum.
+    """A Hermitian operator held as its resolved finite spectrum.
 
-    eigenvalues are strictly increasing; projectors[i] projects onto the
-    eigenspace of eigenvalues[i]; the projectors are orthogonal, resolve
-    the identity and reconstruct the matrix.
+    eigenvalues are finite and strictly increasing; projectors[i] projects
+    onto the eigenspace of eigenvalues[i]; the projectors are orthogonal
+    and resolve the identity.  The constructor checks outside data once.
     """
 
-    __slots__ = ("matrix", "eigenvalues", "projectors", "dim")
+    __slots__ = ("eigenvalues", "projectors")
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        eigenvalues: Sequence[float],
-        projectors: Sequence[np.ndarray],
-        tol: Tolerances = DEFAULT_TOL,
-    ):
-        matrix = as_matrix(matrix)
-        dim = matrix.shape[0]
+    def __init__(self, eigenvalues: Sequence[float], projectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL):
+        mats = [as_matrix(p) for p in projectors]
+        if len({m.shape for m in mats}) > 1:
+            raise InputError("spectral projectors differ in dimension")
         eigenvalues = tuple(float(v) for v in eigenvalues)
-        projectors = tuple(_freeze(as_matrix(p, dim)) for p in projectors)
-        if len(eigenvalues) != len(projectors) or not eigenvalues:
+        if len(eigenvalues) != len(mats) or not eigenvalues:
             raise InputError("need one projector per eigenvalue")
-        if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
-            raise InputError("eigenvalues must be strictly increasing")
-        if not is_hermitian(matrix, tol.tau_herm):
-            raise NotHermitianError(f"operator matrix not Hermitian within {tol.tau_herm:g}")
-        _check_resolution(projectors, tol, "spectral projector")
-        resum = sum(v * p for v, p in zip(eigenvalues, projectors))
-        if max_abs(resum - matrix) > tol.tau_rec:
-            raise InputError("spectral data does not reconstruct the matrix")
-        self.matrix = _freeze(matrix)
-        self.eigenvalues = eigenvalues
-        self.projectors = projectors
-        self.dim = dim
+        if not np.isfinite(eigenvalues).all() or any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise InputError(f"eigenvalues must be finite and strictly increasing, got {list(eigenvalues)}")
+        _check_resolution(mats, tol, "spectral projector")
+        self.eigenvalues, self.projectors = eigenvalues, tuple(_freeze(m) for m in mats)
+
+    @classmethod
+    def _of_checked(cls, eigenvalues: Sequence[float], projectors: Sequence[np.ndarray]) -> "SpectralOperator":
+        """The operator of spectral data derived from checked data
+        (projector sums over disjoint blocks, a context's atoms), unchecked."""
+        op = cls.__new__(cls)
+        op.eigenvalues, op.projectors = tuple(eigenvalues), tuple(_freeze(p) for p in projectors)
+        return op
+
+    @property
+    def dim(self) -> int:
+        return self.projectors[0].shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The sum of v P over the spectrum."""
+        return _freeze(sum(v * p for v, p in zip(self.eigenvalues, self.projectors)))
 
     @property
     def k(self) -> int:
@@ -233,14 +236,16 @@ class SpectralOperator:
 def decompose(m, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     """Resolve a Hermitian matrix into clustered eigenvalues and projectors.
 
-    Raw eigenvalues within tol.eps_group of each other merge into a single
-    spectral point whose projector sums the corresponding eigenspaces.
+    The eigensolver's output must reconstruct the matrix within tau_rec;
+    then raw eigenvalues within tol.eps_group of each other merge into a
+    single spectral point whose projector sums the corresponding eigenspaces.
     """
     if tol.eps_group <= 0:
         raise InputError("eps_group must be positive")
-    m = as_matrix(m)
-    herm = require_hermitian(m, tol.tau_herm)
+    herm = require_hermitian(as_matrix(m), tol.tau_herm)
     raw, vecs = np.linalg.eigh(herm)
+    if max_abs((vecs * raw) @ vecs.conj().T - herm) > tol.tau_rec:
+        raise InputError("spectral data does not reconstruct the matrix")
     groups = cluster_values([float(v) for v in raw], tol.eps_group)
     eigenvalues = []
     projectors = []
@@ -249,7 +254,7 @@ def decompose(m, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
         cols = vecs[:, g]
         p = cols @ cols.conj().T
         projectors.append((p + p.conj().T) / 2.0)
-    return SpectralOperator(m, eigenvalues, projectors, tol)
+    return SpectralOperator(eigenvalues, projectors, tol)
 
 
 def from_spectral_data(
@@ -258,29 +263,33 @@ def from_spectral_data(
     tol: Tolerances = DEFAULT_TOL,
 ) -> SpectralOperator:
     """Build an operator from exact spectral data, bypassing the eigensolver."""
-    mats = [as_matrix(p) for p in projectors]
-    if len({m.shape for m in mats}) > 1:
-        raise InputError("spectral projectors differ in dimension")
-    return SpectralOperator(sum(float(v) * m for v, m in zip(eigenvalues, mats)), eigenvalues, mats, tol)
+    return SpectralOperator(eigenvalues, projectors, tol)
 
 
 def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
     """Resolve a value map to one real per eigenvalue index of `a`.
 
     Accepts a callable on eigenvalues, a mapping from index to value, or
-    a sequence ordered by index; must be total.
+    a sequence ordered by index; must be total, with finite real values.
     """
     if callable(f):
-        return tuple(float(f(v)) for v in a.eigenvalues)
-    if isinstance(f, Mapping):
+        values = [f(v) for v in a.eigenvalues]
+    elif isinstance(f, Mapping):
         missing = set(range(a.k)) - set(f)
         if missing:
             raise InputError(f"value map missing indices {sorted(missing)}")
-        return tuple(float(f[i]) for i in range(a.k))
-    values = tuple(float(v) for v in f)
-    if len(values) != a.k:
-        raise InputError(f"value map must list {a.k} values")
-    return values
+        extra = [i for i in f if i not in range(a.k)]
+        if extra:
+            raise InputError(f"value map index {extra[0]!r} outside 0..{a.k - 1}")
+        values = [f[i] for i in range(a.k)]
+    else:
+        values = list(f)
+        if len(values) != a.k:
+            raise InputError(f"value map must list {a.k} values")
+    for i, v in enumerate(values):
+        if not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise InputError(f"value map value {v!r} at index {i} is not a finite real")
+    return tuple(float(v) for v in values)
 
 
 def value_fibers(
@@ -301,16 +310,16 @@ def value_fibers(
 def apply_function(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     """The operator f(a): same eigenbasis, eigenvalues pushed through f,
     fibers of f merged into single spectral points."""
-    return _coarse_operator(a, *value_fibers(a, f, tol), tol)
+    return _coarse_operator(a, *value_fibers(a, f, tol))
 
 
-def _coarse_operator(a: SpectralOperator, fibers: Partition, labels, tol: Tolerances) -> SpectralOperator:
+def _coarse_operator(a: SpectralOperator, fibers: Partition, labels) -> SpectralOperator:
     """The operator with the fiber labels as eigenvalues, ascending, and
     the sum of a's projectors over each fiber as its projector."""
     order = sorted(range(len(labels)), key=lambda pos: labels[pos])
     eigenvalues = [labels[pos] for pos in order]
     projectors = [a.projector(fibers.blocks[pos]) for pos in order]
-    return from_spectral_data(eigenvalues, projectors, tol)
+    return SpectralOperator._of_checked(eigenvalues, projectors)
 
 
 def _linked(a: SpectralOperator, q: np.ndarray, tol: Tolerances) -> list[int]:

@@ -235,7 +235,7 @@ def _squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap):
     pullback of the sieve of "a in s"."""
     fibers, labels = value_fibers(a, f, nu.tol)
     cg = CoarseGraining(fibers, labels, base=a)
-    b = _coarse_operator(a, fibers, labels, nu.tol)
+    b = _coarse_operator(a, fibers, labels)
     images = [0]  # images[s] = images[s ^ h] | f(h) for the highest bit h of s
     for j in cg.to:
         images += [m | 1 << j for m in images]

@@ -213,6 +213,22 @@ class TestEval:
         assert 'label="{1.0000001}|{1.0000002}|{3}"' in dot.output
 
 
+    def test_merged_eigenvalues_load(self, runner, tmp_path):
+        # 0 and 5e-9 merge within eps_group into one eigenvalue 2.5e-9
+        data = {
+            "format": "sievelogic.system/1",
+            "dimension": 3,
+            "mode": "o",
+            "operators": {"A": {"matrix": [[0.0, 0, 0], [0, 5e-9, 0], [0, 0, 1.0]]}},
+            "states": {"e0": {"vector": [1.0, 0.0, 0.0]}},
+        }
+        f = tmp_path / "merged.json"
+        f.write_text(json.dumps(data))
+        res = run(runner, "eval", str(f), "-v", "state:e0", "-p", "A in {0}", "--by-index")
+        assert res.exit_code == 0
+        assert "TotallyTrue" in res.output
+
+
 class TestAxioms:
     def test_spin1_state_passes(self, runner):
         res = run(runner, "axioms", "spin_one", "-v", "state:psi")
@@ -248,6 +264,23 @@ class TestAxioms:
     def test_unknown_operator_exits_2(self, runner):
         res = run(runner, "axioms", "spin_one", "-v", "state:psi", "--operator", "Sq")
         assert res.exit_code == 2
+
+    def test_near_hermitian_projectors_pass(self, runner, tmp_path):
+        # each projector is Hermitian within tau_herm, sum j P_j is not
+        s, x = 0.45e-9, np.ones((3, 3)) - np.eye(3)
+        projectors = [e + s * (e @ x - x @ e) for e in map(np.diag, np.eye(3))]
+        data = {
+            "format": "sievelogic.system/1",
+            "dimension": 3,
+            "mode": "o",
+            "operators": {"A": {"eigenvalues": [0.0, 0.001, 0.002], "projectors": [p.tolist() for p in projectors]}},
+            "states": {"e0": {"vector": [1.0, 0.0, 0.0]}},
+        }
+        f = tmp_path / "near_hermitian.json"
+        f.write_text(json.dumps(data))
+        res = run(runner, "axioms", str(f), "-v", "state:e0")
+        assert res.exit_code == 0
+        assert "violation" not in res.output
 
 
 class TestKs:

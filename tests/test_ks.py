@@ -13,11 +13,13 @@ from sievelogic import (
     StillColorableError,
     context_from_vectors,
     context_operator,
+    from_spectral_data,
     minimal_uncolorable_subfamily,
     search_dual_section,
     section_to_partial_valuation,
 )
 from sievelogic.ks_search import _projector_classes
+from sievelogic.spectral import _check_resolution
 from helpers import brute_dual_section, rand_basis_context, rand_unitary, witness_ok_independent
 
 
@@ -223,6 +225,15 @@ class TestSectionToValuation:
         op = context_operator(diag_context(4))
         assert op.k == 4
         assert op.eigenvalues == pytest.approx((0.0, 1.0, 2.0, 3.0))
+
+    def test_context_operator_matches_checked_constructor(self, ks18):
+        # the context checked its atoms; the operator wraps them unchecked
+        for ctx in ks18.family.contexts:
+            op = context_operator(ctx)
+            want = from_spectral_data(range(ctx.n_atoms), ctx.atoms)
+            assert op.eigenvalues == want.eigenvalues
+            assert all(np.array_equal(g, w) for g, w in zip(op.projectors, want.projectors, strict=True))
+            _check_resolution(op.projectors, DEFAULT_TOL, "spectral projector")
 
 
 RAYS3 = np.array(

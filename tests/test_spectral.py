@@ -4,13 +4,19 @@ import pytest
 from sievelogic import (
     DEFAULT_TOL,
     BooleanContext,
+    CoarseGrainingLattice,
     DegenerateClusteringError,
+    GeneralizedValuation,
     InputError,
+    Mode,
     NotHermitianError,
     QuantumState,
     Tolerances,
     ZeroNormError,
+    all_partitions,
     apply_function,
+    check_functional_rule,
+    check_naturality,
     cluster_values,
     coarse_grained_projector,
     common_coarsening,
@@ -20,7 +26,8 @@ from sievelogic import (
     prob,
     value_fibers,
 )
-from sievelogic.spectral import max_abs, projector_leq
+from sievelogic import spectral
+from sievelogic.spectral import _check_resolution, max_abs, projector_leq
 from helpers import infimum_oracle, rand_operator, rand_projector_matrix, rand_unitary
 
 
@@ -137,6 +144,18 @@ class TestDecompose:
         a = decompose(np.diag([1.0, 1.0 + 1e-12]))
         assert a.k == 1
 
+    def test_merges_everything_eps_group_allows(self):
+        # the merged mean moves the matrix by 2.5e-9, more than tau_rec
+        a = decompose(np.diag([0.0, 5e-9, 1.0]))
+        assert a.k == 2
+        assert a.eigenvalues == pytest.approx((2.5e-9, 1.0), abs=1e-18)
+
+    def test_rejects_eigensolver_that_does_not_reconstruct(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] + 1e-6, eigh(h)[1]))
+        with pytest.raises(InputError, match="reconstruct"):
+            decompose(np.diag([0.0, 1.0, 2.0]))
+
     def test_random_reconstruction(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -157,6 +176,11 @@ class TestDecompose:
         with pytest.raises(InputError):
             # projectors overlap
             from_spectral_data((0.0, 1.0), (eye, np.diag([1.0, 0.0])))
+
+    @pytest.mark.parametrize("values", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_non_finite_eigenvalues_rejected(self, values):
+        with pytest.raises(InputError, match="finite"):
+            from_spectral_data(values, (_E0, np.eye(2) - _E0))
 
     def test_eigenvalue_index(self):
         a = decompose(np.diag([0.5, -0.5]))
@@ -187,10 +211,86 @@ class TestApplyFunction:
         with pytest.raises(InputError):
             apply_function(spin1_sx, {0: 1.0})
 
+    def test_key_outside_spectrum_rejected(self, spinh_sz):
+        with pytest.raises(InputError, match="index 7 outside 0..1"):
+            apply_function(spinh_sz, {0: 1.0, 1: 2.0, 7: 3.0})
+
+    @pytest.mark.parametrize("f, index", [
+        (["x", 1.0], 0),
+        ([1j, 2.0], 0),
+        (lambda v: v * 1j, 0),
+        ([1.0, np.complex128(2.0)], 1),
+        ([1.0, np.nan], 1),
+        ({0: np.inf, 1: 2.0}, 0),
+        (lambda v: float("inf") if v > 0 else v, 1),
+    ])
+    def test_non_real_or_non_finite_values_rejected(self, spinh_sz, f, index):
+        with pytest.raises(InputError, match=f"at index {index} is not a finite real"):
+            apply_function(spinh_sz, f)
+
     def test_noise_lands_in_one_fiber(self, spin1_sx):
         # squaring -0.9999999999999999 and 1.0000000000000002 must merge
         b = apply_function(spin1_sx, lambda x: x * x)
         assert b.k == 2
+
+
+def near_hermitian_projectors(s: float = 0.45e-9) -> list[np.ndarray]:
+    """The diagonal unit projectors of dimension 3, each moved off
+    Hermitian by 2s (E + s (E X - X E), X = ones - I): within tau_herm
+    one by one, while sum j P_j is Hermitian only within 4s."""
+    x = np.ones((3, 3)) - np.eye(3)
+    return [e + s * (e @ x - x @ e) for e in _E]
+
+
+class TestDerivedOperators:
+    """Operators derived from checked ones are wrapped unchecked; the
+    checked constructor on the same data is the oracle."""
+
+    def test_coarse_operator_matches_checked_constructor(self):
+        rng = np.random.default_rng(21)
+        for k in range(1, 7):
+            a = rand_operator(rng, k + int(rng.integers(0, 2)), k)
+            for p in all_partitions(k):
+                labels = 1.5 * rng.permutation(p.n_blocks) - 2.0
+                f = [float(labels[p.block_of(i)]) for i in range(k)]
+                order = np.argsort(labels)
+                want = from_spectral_data(
+                    [float(labels[j]) for j in order],
+                    [sum(a.projectors[i] for i in p.blocks[j]) for j in order],
+                )
+                got = apply_function(a, f)
+                assert got.eigenvalues == want.eigenvalues
+                assert all(np.array_equal(g, w) for g, w in zip(got.projectors, want.projectors, strict=True))
+                assert all(not g.flags.writeable for g in got.projectors)
+                _check_resolution(got.projectors, DEFAULT_TOL, "spectral projector")
+
+    def test_audits_run_no_resolution_check(self, monkeypatch, spin1_sx, spin1_psi):
+        nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _check_resolution(*args)
+
+        monkeypatch.setattr(spectral, "_check_resolution", counting)
+        for f in ([0.0, 1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]):
+            assert check_naturality(nu, spin1_sx, f).ok
+            assert check_functional_rule(nu, spin1_sx, f, [0, 2]).ok
+        assert calls == []
+        from_spectral_data(spin1_sx.eigenvalues, spin1_sx.projectors)
+        assert len(calls) == 1
+
+    def test_near_hermitian_projectors_load_and_coarsen(self):
+        projectors = near_hermitian_projectors()
+        m = sum(j * p for j, p in enumerate(projectors))
+        assert max_abs(m - m.conj().T) > DEFAULT_TOL.tau_herm
+        a = from_spectral_data((0.0, 0.001, 0.002), projectors)
+        b = apply_function(a, [0.0, 1.0, 2.0])
+        assert b.eigenvalues == (0.0, 1.0, 2.0)
+        nu = GeneralizedValuation.from_state(QuantumState.vector([1.0, 0.0, 0.0]), Mode.WITH_CONSTANTS)
+        assert check_naturality(nu, a, [0.0, 1.0, 2.0]).ok
+        lattice = CoarseGrainingLattice(a)
+        assert [lattice.operator_at(p).k for p in lattice.objects] == [p.n_blocks for p in lattice.objects]
 
 
 class TestIsFunctionOf:
