@@ -178,9 +178,8 @@ def load_system(token: str, tol_overrides: tuple[str, ...] = ()) -> SystemData:
             if "matrix" in entry:
                 operators[name] = decompose(_matrix_in(entry["matrix"], where), tol)
             elif "eigenvalues" in entry and "projectors" in entry:
-                eigs = tuple(float(x) for x in entry["eigenvalues"])
                 projs = tuple(_matrix_in(p, where) for p in entry["projectors"])
-                operators[name] = from_spectral_data(eigs, projs, tol)
+                operators[name] = from_spectral_data(entry["eigenvalues"], projs, tol)
             else:
                 raise InputError("needs 'matrix' or 'eigenvalues' + 'projectors'")
         except SieveLogicError as e:

@@ -14,10 +14,13 @@ coarse-graining has probability one.
 
 The poset is the interned partition lattice of `sieves`: a node is a bit
 index, its down set is its up-set mask, and a truth value is a `Sieve`.
+The audits run on subset bitmasks (bit j = top atom j), reading one
+image table per node and one mass table per state.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -106,7 +109,7 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_lattice", "_down", "_weights")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_down", "_states")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
@@ -114,7 +117,7 @@ class SubalgebraPoset:
         self._lattice = _lattice(top.n_atoms, mode)
         self.nodes = self._lattice.parts
         self._down = {}
-        self._weights = {}
+        self._states = {}
 
     def _require(self, w: Partition) -> int:
         i = self._lattice.index.get(w)
@@ -139,21 +142,24 @@ class SubalgebraPoset:
         """All elements of node w as frozensets of top-atom indices,
         in a deterministic order."""
         self._require(w)
-        out = (frozenset(i for b in combo for i in b)
-               for n in range(w.n_blocks + 1) for combo in itertools.combinations(w.blocks, n))
-        return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+        return _node_elements(w)
 
     def is_element(self, w: Partition, alpha: Element) -> bool:
         self._require(w)
         alpha = frozenset(alpha)
-        return alpha <= frozenset(range(self.top.n_atoms)) and _node_image(w, alpha) == alpha
+        return alpha <= frozenset(range(self.top.n_atoms)) and _image(w, alpha) == alpha
 
     def weights(self, rho: QuantumState) -> tuple[float, ...]:
-        """The state's probability of each top atom, computed once per
-        state and kept for the life of the poset."""
-        hit = self._weights.get(rho)
+        """The state's probability of each top atom."""
+        return self._state(rho)[0]
+
+    def _state(self, rho: QuantumState) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The state's atom weights and their `subset_masses` table,
+        computed once per state and kept for the life of the poset."""
+        hit = self._states.get(rho)
         if hit is None:
-            hit = self._weights[rho] = rho.weights(self.top.atoms)
+            weights = rho.weights(self.top.atoms)
+            hit = self._states[rho] = (weights, tuple(subset_masses(weights)))
         return hit
 
     def node_context(self, w: Partition) -> BooleanContext:
@@ -165,8 +171,40 @@ class SubalgebraPoset:
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
 
 
-# The poset audits take the image of one (node, element) pair many times.
-_node_image = lru_cache(maxsize=None)(_image)
+def _node_elements(w: Partition) -> tuple[Element, ...]:
+    """The unions of w's blocks, ordered by size, then by sorted indices."""
+    out = (frozenset(i for b in combo for i in b)
+           for n in range(w.n_blocks + 1) for combo in itertools.combinations(w.blocks, n))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+
+def _mask_of(indices: Iterable[int]) -> int:
+    """The subset bitmask of top-atom indices; repeats set a bit once."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << operator.index(i)
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _node_tables(n: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Per node of the n-atom poset, in lattice order: the image of each
+    of the 2^n subset bitmasks (the union of the node's blocks that meet
+    it), and the node's element masks in `SubalgebraPoset.elements`
+    order.  Only the audits build these tables."""
+    images, elements = [], []
+    for w in _lattice(n, mode).parts:
+        block_of = [0] * n
+        for b in w.blocks:
+            mask = _mask_of(b)
+            for i in b:
+                block_of[i] = mask
+        image = [0]
+        for i in range(n):
+            image += [s | block_of[i] for s in image]
+        images.append(tuple(image))
+        elements.append(tuple(_mask_of(e) for e in _node_elements(w)))
+    return tuple(images), tuple(elements)
 
 
 def canonical_coarsening(
@@ -178,61 +216,69 @@ def canonical_coarsening(
         raise NotSubalgebraError(f"{w2} is not a subalgebra of {w1}")
     if not poset.is_element(w1, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w1}")
-    return _node_image(w2, frozenset(alpha))
+    return _image(w2, frozenset(alpha))
 
 
-def _as_theta(theta: Optional[ThetaMap]):
-    """The map as a function of (w1, w2, alpha); the canonical one skips
-    the argument checks, since the audits pass only poset data."""
+def _theta_masks(poset: SubalgebraPoset, theta: Optional[ThetaMap], images: Sequence[Sequence[int]]):
+    """The map as a function of (node index, node index, element mask)
+    giving the image mask.  The canonical map is a read of the image
+    tables; a user map is asked with frozensets, and its answer is
+    turned into a mask."""
     if theta is None:
-        return lambda w1, w2, alpha: _node_image(w2, alpha)
-    if callable(theta):
-        return theta
+        return lambda i1, i2, a: images[i2][a]
+    nodes = poset.nodes
 
-    def lookup(w1, w2, alpha):
+    def ask(i1, i2, a):
+        w1, w2, alpha = nodes[i1], nodes[i2], frozenset(_bits(a))
+        if callable(theta):
+            image = theta(w1, w2, alpha)
+        else:
+            try:
+                image = theta[(w1, w2)][alpha]
+            except KeyError:
+                raise InputError(f"theta table has no entry for ({w1}, {w2}, {sorted(alpha)})") from None
         try:
-            return theta[(w1, w2)][alpha]
-        except KeyError:
-            raise InputError(f"theta table has no entry for ({w1}, {w2}, {sorted(alpha)})") from None
+            return _mask_of(image)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"theta({sorted(alpha)}) from {w1} to {w2} is not a set of atom indices: {image!r}"
+            ) from None
 
-    return lookup
+    return ask
 
 
 def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = None) -> Report:
     """Exhaustive audit of a coarse-graining map over the whole poset:
     domination, monotonicity, retraction, and composition along chains.
     The canonical map is used when none is supplied."""
-    th = _as_theta(theta)
+    images, elements = _node_tables(poset.top.n_atoms, poset.mode)
+    th = _theta_masks(poset, theta, images)
+    nodes, up = poset.nodes, poset._lattice.up
     report = Report("coarse-graining axioms")
-    elements = {w: poset.elements(w) for w in poset.nodes}
-    pairs = [(w1, w2) for w1 in poset.nodes for w2 in poset.down_set(w1)]
-    for w1, w2 in pairs:
-        for alpha in elements[w1]:
-            image = th(w1, w2, alpha)
-            report.record(
-                alpha <= image,
-                lambda: f"domination fails: theta({sorted(alpha)}) from {w1} to {w2} loses atoms",
-            )
-            if _node_image(w2, alpha) == alpha:
-                report.record(
-                    image == alpha,
-                    lambda: f"retraction fails on {sorted(alpha)} from {w1} to {w2}",
-                )
-        for alpha, beta in itertools.combinations(elements[w1], 2):
-            if alpha <= beta:
-                report.record(
-                    th(w1, w2, alpha) <= th(w1, w2, beta),
-                    lambda: f"monotonicity fails for {sorted(alpha)} within {sorted(beta)} from {w1} to {w2}",
-                )
-    for w1, w2 in pairs:
-        for w3 in poset.down_set(w2):
-            for alpha in elements[w1]:
-                direct = th(w1, w3, alpha)
-                staged = th(w2, w3, th(w1, w2, alpha))
-                report.record(
-                    direct == staged,
-                    lambda: f"composition fails on {sorted(alpha)} along {w1} -> {w2} -> {w3}",
-                )
+    for i1, w1 in enumerate(nodes):
+        els = elements[i1]
+        nested = [(x, y) for x, y in itertools.combinations(range(len(els)), 2) if not els[x] & ~els[y]]
+        # the map's image of each element of w1, per subalgebra w2
+        rows = {i2: [th(i1, i2, a) for a in els] for i2 in _bits(up[i1])}
+        for i2, row in rows.items():
+            w2, image = nodes[i2], images[i2]
+            report.tally(len(els), (
+                f"domination fails: theta({list(_bits(a))}) from {w1} to {w2} loses atoms"
+                for a, t in zip(els, row) if a & ~t
+            ))
+            retractable = [(a, t) for a, t in zip(els, row) if image[a] == a]
+            report.tally(len(retractable), (
+                f"retraction fails on {list(_bits(a))} from {w1} to {w2}" for a, t in retractable if t != a
+            ))
+            report.tally(len(nested), (
+                f"monotonicity fails for {list(_bits(els[x]))} within {list(_bits(els[y]))} from {w1} to {w2}"
+                for x, y in nested if row[x] & ~row[y]
+            ))
+            for i3 in _bits(up[i2]):
+                report.tally(len(els), (
+                    f"composition fails on {list(_bits(a))} along {w1} -> {w2} -> {nodes[i3]}"
+                    for a, t, direct in zip(els, row, rows[i3]) if direct != th(i2, i3, t)
+                ))
     return report.finish()
 
 
@@ -311,14 +357,6 @@ def true_w(poset: SubalgebraPoset, w: Partition) -> SubalgebraSieve:
     return SubalgebraSieve._at(poset, i, poset._lattice.up[i])
 
 
-def _sieve_from_masses(
-    poset: SubalgebraPoset, w: Partition, alpha: Element, masses: Sequence[float], tol: Tolerances
-) -> SubalgebraSieve:
-    i = poset._require(w)
-    mask = mass_sieve(poset.top.n_atoms, poset.mode, sum(1 << j for j in alpha), masses, 1.0 - tol.tau_one)
-    return SubalgebraSieve._at(poset, i, mask & poset._lattice.up[i])
-
-
 def valuation_sieve(
     rho: QuantumState,
     poset: SubalgebraPoset,
@@ -332,7 +370,10 @@ def valuation_sieve(
     matrix."""
     if not poset.is_element(w, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w}")
-    return _sieve_from_masses(poset, w, alpha, subset_masses(poset.weights(rho)), tol)
+    i = poset._require(w)
+    n = poset.top.n_atoms
+    mask = mass_sieve(n, poset.mode, _mask_of(alpha), poset._state(rho)[1], 1.0 - tol.tau_one)
+    return SubalgebraSieve._at(poset, i, mask & poset._lattice.up[i])
 
 
 def check_local_valuation(
@@ -374,20 +415,19 @@ def check_restriction_compatibility(
     """For every inclusion w2 within w1 and every element of w1, the
     truth value at w2 of the coarse-grained element must equal the
     restriction of the truth value at w1."""
+    n = poset.top.n_atoms
+    images, elements = _node_tables(n, poset.mode)
+    masses = poset._state(rho)[1]
+    cutoff = 1.0 - tol.tau_one
+    sieves = [mass_sieve(n, poset.mode, s, masses, cutoff) for s in range(1 << n)]
+    nodes, up = poset.nodes, poset._lattice.up
     report = Report("restriction compatibility")
-    masses = subset_masses(poset.weights(rho))
-    for w1 in poset.nodes:
-        elements = poset.elements(w1)
-        sieves = {
-            alpha: _sieve_from_masses(poset, w1, alpha, masses, tol)
-            for alpha in elements
-        }
-        for w2 in poset.down_set(w1):
-            for alpha in elements:
-                lhs = _sieve_from_masses(poset, w2, _node_image(w2, alpha), masses, tol)
-                rhs = sieves[alpha].restrict(w2)
-                report.record(
-                    lhs == rhs,
-                    lambda: f"mismatch at {sorted(alpha)} along {w1} -> {w2}",
-                )
+    for i1, w1 in enumerate(nodes):
+        els = elements[i1]
+        for i2 in _bits(up[i1]):
+            image, down = images[i2], up[i2]
+            report.tally(len(els), (
+                f"mismatch at {list(_bits(a))} along {w1} -> {nodes[i2]}"
+                for a in els if sieves[image[a]] & down != sieves[a] & down
+            ))
     return report.finish()

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 
 @dataclass
@@ -29,6 +29,12 @@ class Report:
         self.checks += 1
         if not passed:
             self.violations.append(message() if callable(message) else message)
+
+    def tally(self, checks: int, failures: Iterable[str]) -> None:
+        """Count a batch of checks and keep the messages of those that
+        failed; pass a generator so that passing checks format nothing."""
+        self.checks += checks
+        self.violations.extend(failures)
 
     def finish(self) -> "Report":
         self.violations.sort()

@@ -170,6 +170,23 @@ def _fiber_value(values: Sequence[float]) -> float:
     return values[0] + 0.0 if len(values) == 1 else float(np.mean(values))
 
 
+def _finite_reals(values: Iterable, what: str) -> tuple[float, ...]:
+    """The values as floats; the InputError names the index of the first
+    one that is not a finite real number."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputError(f"expected a sequence of {what}s, got {values!r}") from None
+    for i, v in enumerate(values):
+        try:
+            ok = isinstance(v, numbers.Real) and math.isfinite(v)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        if not ok:
+            raise InputError(f"{what} {v!r} at index {i} is not a finite real")
+    return tuple(float(v) for v in values)
+
+
 class SpectralOperator:
     """A Hermitian operator held as its resolved finite spectrum.
 
@@ -184,11 +201,11 @@ class SpectralOperator:
         mats = [as_matrix(p) for p in projectors]
         if len({m.shape for m in mats}) > 1:
             raise InputError("spectral projectors differ in dimension")
-        eigenvalues = tuple(float(v) for v in eigenvalues)
+        eigenvalues = _finite_reals(eigenvalues, "eigenvalue")
         if len(eigenvalues) != len(mats) or not eigenvalues:
             raise InputError("need one projector per eigenvalue")
-        if not np.isfinite(eigenvalues).all() or any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
-            raise InputError(f"eigenvalues must be finite and strictly increasing, got {list(eigenvalues)}")
+        if any(b <= a for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise InputError(f"eigenvalues must be strictly increasing, got {list(eigenvalues)}")
         _check_resolution(mats, tol, "spectral projector")
         self.eigenvalues, self.projectors = eigenvalues, tuple(_freeze(m) for m in mats)
 
@@ -286,10 +303,7 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
         values = list(f)
         if len(values) != a.k:
             raise InputError(f"value map must list {a.k} values")
-    for i, v in enumerate(values):
-        if not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise InputError(f"value map value {v!r} at index {i} is not a finite real")
-    return tuple(float(v) for v in values)
+    return _finite_reals(values, "value map value")
 
 
 def value_fibers(

@@ -258,6 +258,44 @@ def brute_subalgebras(n: int, mode: Mode, w: Partition) -> frozenset[Partition]:
     )
 
 
+def brute_node_elements(w: Partition) -> list[frozenset]:
+    """Every union of blocks of w, in no particular order."""
+    return [
+        frozenset(i for b in combo for i in b)
+        for r in range(w.n_blocks + 1)
+        for combo in itertools.combinations(w.blocks, r)
+    ]
+
+
+def brute_coarsening_checks(n: int, mode: Mode) -> int:
+    """The number of checks of the coarsening audit on an n-atom poset,
+    counted from its definition: per inclusion w2 within w1 and element
+    alpha of w1, one domination check, one retraction check when alpha is
+    also an element of w2, and one composition check per w3 within w2;
+    per inclusion, one monotonicity check per pair of distinct nested
+    elements of w1."""
+    total = 0
+    for w1 in admissible_partitions(n, mode):
+        elements = brute_node_elements(w1)
+        nested = sum(1 for a in elements for b in elements if a < b)
+        for w2 in brute_subalgebras(n, mode, w1):
+            retractable = sum(
+                1 for a in elements if all(set(b) <= a or not a & set(b) for b in w2.blocks)
+            )
+            total += len(elements) + retractable + nested
+            total += len(brute_subalgebras(n, mode, w2)) * len(elements)
+    return total
+
+
+def brute_restriction_checks(n: int, mode: Mode) -> int:
+    """The number of checks of the restriction audit on an n-atom poset:
+    one per inclusion w2 within w1 and element of w1."""
+    return sum(
+        len(brute_node_elements(w1)) * len(brute_subalgebras(n, mode, w1))
+        for w1 in admissible_partitions(n, mode)
+    )
+
+
 def brute_valuation_sieve(n: int, mode: Mode, w: Partition, alpha, weights, cutoff: float) -> frozenset[Partition]:
     """Subalgebras of w whose blocks meeting alpha carry atom weight at
     least cutoff, summed over their union in index order."""

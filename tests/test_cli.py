@@ -173,6 +173,19 @@ class TestEval:
         assert res.exit_code == 2
         assert "nan" in res.stderr
 
+    @pytest.mark.parametrize("eigenvalues, message", [
+        (["x", 0.5], "operator 'Sz': eigenvalue 'x' at index 0 is not a finite real"),
+        (5, "operator 'Sz': expected a sequence of eigenvalues, got 5"),
+    ])
+    def test_non_real_eigenvalues_exit_2(self, runner, tmp_path, eigenvalues, message):
+        data = json.loads(dump_system(load_system("spin_half")))
+        data["operators"]["Sz"]["eigenvalues"] = eigenvalues
+        f = tmp_path / "eigs.json"
+        f.write_text(json.dumps(data))
+        res = run(runner, "eval", str(f), "-v", "state:psi", "-p", "Sz in {0.5}")
+        assert res.exit_code == 2
+        assert message in res.stderr
+
     def test_directory_input_exits_2(self, runner, tmp_path):
         res = run(runner, "ks", str(tmp_path))
         assert res.exit_code == 2

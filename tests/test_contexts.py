@@ -31,8 +31,12 @@ from sievelogic import (
     true_w,
     valuation_sieve,
 )
+from sievelogic.contexts import _node_tables
+from sievelogic.sieves import _image
 from sievelogic.spectral import max_abs
 from helpers import (
+    brute_coarsening_checks,
+    brute_restriction_checks,
     brute_subalgebras,
     brute_valuation_sieve,
     least_dominating_oracle,
@@ -165,7 +169,7 @@ class TestCoarseningAxioms:
     def test_poset4_passes(self, poset4):
         report = check_coarsening_axioms(poset4)
         assert report.ok
-        assert report.checks > 1000
+        assert report.checks == 4046
 
     def test_broken_map_detected(self, poset4):
         top = frozenset(range(4))
@@ -200,6 +204,26 @@ class TestCoarseningAxioms:
         del table[(FINEST4, w2)][frozenset([0, 2])]
         with pytest.raises(InputError, match=r"no entry for \(0\|1\|2\|3, 0,1\|2,3, \[0, 2\]\)"):
             check_coarsening_axioms(poset4, table)
+
+    def test_list_and_set_answers_match_frozenset(self, poset4):
+        pair = Partition.of([(0, 1), (2, 3)])
+
+        def broken(w1, w2, alpha):
+            # canonical, except that singletons coarsen to the unit at 01|23
+            if w2 == pair and len(alpha) == 1:
+                return frozenset(range(4))
+            return frozenset(i for b in w2.blocks if alpha & set(b) for i in b)
+
+        want = check_coarsening_axioms(poset4, broken)
+        assert not want.ok
+        as_list = check_coarsening_axioms(poset4, lambda *args: sorted(broken(*args)) * 2)
+        as_set = check_coarsening_axioms(poset4, lambda *args: set(broken(*args)))
+        assert str(as_list) == str(as_set) == str(want)
+
+    @pytest.mark.parametrize("answer", [None, ["a"], [-1], [1.5]])
+    def test_non_index_answer_rejected(self, poset4, answer):
+        with pytest.raises(InputError, match="is not a set of atom indices"):
+            check_coarsening_axioms(poset4, lambda w1, w2, alpha: answer)
 
     def test_non_dominating_map_detected(self, poset4):
         def bad(w1, w2, alpha):
@@ -442,3 +466,36 @@ class TestSubalgebraSecondRoute:
         rng = np.random.default_rng(74)
         for _ in range(3):
             assert check_restriction_compatibility(rand_density_state(rng, 4), poset).ok
+
+
+class TestAuditSecondRoute:
+    """The mask audits and their tables against frozenset definitions."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_node_tables(self, n, mode):
+        poset = diag_poset(n, mode)
+        images, elements = _node_tables(n, mode)
+        assert len(images) == len(elements) == len(poset.nodes)
+        for w, image, els in zip(poset.nodes, images, elements):
+            assert els == tuple(sum(1 << i for i in e) for e in poset.elements(w))
+            assert len(image) == 1 << n
+            for s in range(1 << n):
+                subset = frozenset(i for i in range(n) if s >> i & 1)
+                least = least_dominating_oracle(poset, w, subset)
+                assert least == _image(w, subset)
+                assert image[s] == sum(1 << i for i in least)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_check_counts(self, n, mode):
+        poset = diag_poset(n, mode)
+        coarsening = check_coarsening_axioms(poset)
+        assert coarsening.ok and coarsening.checks == brute_coarsening_checks(n, mode)
+        rho = rand_density_state(np.random.default_rng(n), n)
+        restriction = check_restriction_compatibility(rho, poset)
+        assert restriction.ok and restriction.checks == brute_restriction_checks(n, mode)
+
+    def test_four_atom_counts(self):
+        assert brute_coarsening_checks(4, Mode.WITH_CONSTANTS) == 4046
+        assert brute_restriction_checks(4, Mode.WITH_CONSTANTS) == 538

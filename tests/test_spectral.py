@@ -182,6 +182,17 @@ class TestDecompose:
         with pytest.raises(InputError, match="finite"):
             from_spectral_data(values, (_E0, np.eye(2) - _E0))
 
+    @pytest.mark.parametrize("values, message", [
+        (["x", 1.0], "eigenvalue 'x' at index 0 is not a finite real"),
+        ([0.0, 1j], "eigenvalue 1j at index 1 is not a finite real"),
+        ([0.0, 10**400], "at index 1 is not a finite real"),
+        (5, "expected a sequence of eigenvalues, got 5"),
+        (None, "expected a sequence of eigenvalues, got None"),
+    ])
+    def test_non_real_eigenvalues_rejected(self, values, message):
+        with pytest.raises(InputError, match=message):
+            spectral.SpectralOperator(values, (_E0, np.eye(2) - _E0))
+
     def test_eigenvalue_index(self):
         a = decompose(np.diag([0.5, -0.5]))
         assert a.eigenvalue_index(0.5, 1e-8) == 1
