@@ -13,14 +13,14 @@ projector: the set of coarsenings under which the projector's canonical
 coarse-graining has probability one.
 
 The poset is the interned partition lattice of `sieves`: a node is a bit
-index, its down set is its up-set mask, and a truth value is a `Sieve`.
-The audits run on subset bitmasks (bit j = top atom j), reading one
-image table per node and one mass table per state.
+index, its down set is its up-set mask, and a truth value is a mask
+inside that down set.  The audits run on subset bitmasks (bit j = top
+atom j), reading one image table per node and one mass table per state;
+the local valuation axioms share their routine with `valuations`.
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, mass_sieve, subset_masses
+from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, _mask_of, mass_sieve, subset_masses
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -38,6 +38,7 @@ from .spectral import (
     _subset_sum,
     as_matrix,
 )
+from .valuations import _check_order
 
 Element = frozenset[int]
 ThetaMap = Union[
@@ -73,14 +74,13 @@ class BooleanContext:
 
     def element(self, indices: Iterable[int]) -> np.ndarray:
         """The subset-sum projector over the given atom indices."""
-        return _subset_sum(self.atoms, set(indices), "atom")
+        return _subset_sum(self.atoms, indices, "atom")
 
     def elements(self):
         """All (index set, projector) pairs of the algebra."""
         for n in range(self.n_atoms + 1):
             for combo in itertools.combinations(range(self.n_atoms), n):
-                idx = frozenset(combo)
-                yield idx, _subset_sum(self.atoms, idx, "atom")
+                yield frozenset(combo), _subset_sum(self.atoms, combo, "atom")
 
     def __repr__(self):
         return f"BooleanContext(dim={self.dim}, atoms={self.n_atoms})"
@@ -109,14 +109,13 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_lattice", "_down", "_states")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_states")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
         self.mode = mode
         self._lattice = _lattice(top.n_atoms, mode)
         self.nodes = self._lattice.parts
-        self._down = {}
         self._states = {}
 
     def _require(self, w: Partition) -> int:
@@ -132,11 +131,7 @@ class SubalgebraPoset:
 
     def down_set(self, w: Partition) -> frozenset[Partition]:
         """All subalgebras of w, including w itself."""
-        i = self._require(w)
-        hit = self._down.get(i)
-        if hit is None:
-            hit = self._down[i] = frozenset(self.nodes[j] for j in _bits(self._lattice.up[i]))
-        return hit
+        return frozenset(self.nodes[j] for j in _bits(self._lattice.up[self._require(w)]))
 
     def elements(self, w: Partition) -> tuple[Element, ...]:
         """All elements of node w as frozensets of top-atom indices,
@@ -146,8 +141,7 @@ class SubalgebraPoset:
 
     def is_element(self, w: Partition, alpha: Element) -> bool:
         self._require(w)
-        alpha = frozenset(alpha)
-        return alpha <= frozenset(range(self.top.n_atoms)) and _image(w, alpha) == alpha
+        return _element_mask(w, alpha) is not None
 
     def weights(self, rho: QuantumState) -> tuple[float, ...]:
         """The state's probability of each top atom."""
@@ -178,12 +172,14 @@ def _node_elements(w: Partition) -> tuple[Element, ...]:
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
-def _mask_of(indices: Iterable[int]) -> int:
-    """The subset bitmask of top-atom indices; repeats set a bit once."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << operator.index(i)
-    return mask
+def _element_mask(w: Partition, alpha: Iterable[int]) -> Optional[int]:
+    """The subset bitmask of alpha when it is an element of node w (a
+    union of w's blocks), else None."""
+    try:
+        a = _mask_of(alpha, w.k, "atom")
+    except InputError:
+        return None
+    return a if _image(w, a) == a else None
 
 
 @lru_cache(maxsize=None)
@@ -192,19 +188,9 @@ def _node_tables(n: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], tuple
     of the 2^n subset bitmasks (the union of the node's blocks that meet
     it), and the node's element masks in `SubalgebraPoset.elements`
     order.  Only the audits build these tables."""
-    images, elements = [], []
-    for w in _lattice(n, mode).parts:
-        block_of = [0] * n
-        for b in w.blocks:
-            mask = _mask_of(b)
-            for i in b:
-                block_of[i] = mask
-        image = [0]
-        for i in range(n):
-            image += [s | block_of[i] for s in image]
-        images.append(tuple(image))
-        elements.append(tuple(_mask_of(e) for e in _node_elements(w)))
-    return tuple(images), tuple(elements)
+    parts = _lattice(n, mode).parts
+    images = tuple(tuple(_image(w, s) for s in range(1 << n)) for w in parts)
+    return images, tuple(tuple(_mask_of(e, n, "atom") for e in _node_elements(w)) for w in parts)
 
 
 def canonical_coarsening(
@@ -216,7 +202,7 @@ def canonical_coarsening(
         raise NotSubalgebraError(f"{w2} is not a subalgebra of {w1}")
     if not poset.is_element(w1, alpha):
         raise InputError(f"{sorted(alpha)} is not an element of {w1}")
-    return _image(w2, frozenset(alpha))
+    return frozenset(_bits(_image(w2, _mask_of(alpha, w1.k, "atom"))))
 
 
 def _theta_masks(poset: SubalgebraPoset, theta: Optional[ThetaMap], images: Sequence[Sequence[int]]):
@@ -238,8 +224,8 @@ def _theta_masks(poset: SubalgebraPoset, theta: Optional[ThetaMap], images: Sequ
             except KeyError:
                 raise InputError(f"theta table has no entry for ({w1}, {w2}, {sorted(alpha)})") from None
         try:
-            return _mask_of(image)
-        except (TypeError, ValueError):
+            return _mask_of(image, poset.top.n_atoms, "atom")
+        except (TypeError, InputError):
             raise InputError(
                 f"theta({sorted(alpha)}) from {w1} to {w2} is not a set of atom indices: {image!r}"
             ) from None
@@ -284,68 +270,81 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
 
 class SubalgebraSieve:
     """A down-closed set of subalgebras of a base node: a truth value at
-    that node.  It wraps the `Sieve` over the poset's lattice whose mask
-    lies in the base's down set; `Sieve` checks given members' closure."""
+    that node.  A view of the poset, the base's bit index `_node` and an
+    up-closed mask in its down set; `Sieve` checks given members."""
 
-    __slots__ = ("poset", "base", "sieve", "_down")
+    __slots__ = ("poset", "_node", "_mask")
 
     def __init__(self, poset: SubalgebraPoset, base: Partition, members: Iterable[Partition]):
-        i = poset._require(base)
+        down = poset.down_set(base)
         members = tuple(members)
         for w in members:
-            j = poset._lattice.index.get(w)
-            if j is None or not poset._lattice.up[i] >> j & 1:
+            if w not in down:
                 raise InputError(f"{w} is not a subalgebra of the base {base}")
-        self._set(poset, i, Sieve(poset.top.n_atoms, poset.mode, members))
+        mask = Sieve(poset.top.n_atoms, poset.mode, members).mask
+        self.poset, self._node, self._mask = poset, poset._require(base), mask
 
     @classmethod
     def _at(cls, poset: SubalgebraPoset, i: int, mask: int) -> "SubalgebraSieve":
         """The truth value with an up-closed mask at the node of bit index i."""
         out = cls.__new__(cls)
-        out._set(poset, i, Sieve._of_mask(poset.top.n_atoms, poset.mode, mask))
+        out.poset, out._node, out._mask = poset, i, mask
         return out
 
-    def _set(self, poset: SubalgebraPoset, i: int, sieve: Sieve) -> None:
-        self.poset, self.base, self._down, self.sieve = poset, poset.nodes[i], poset._lattice.up[i], sieve
+    @property
+    def base(self) -> Partition:
+        return self.poset.nodes[self._node]
+
+    @property
+    def sieve(self) -> Sieve:
+        """The same mask as a `Sieve` over the top's atoms."""
+        return Sieve._of_mask(self.poset.top.n_atoms, self.poset.mode, self._mask)
 
     @property
     def members(self) -> frozenset[Partition]:
-        return self.sieve.partitions
+        return frozenset(self)
+
+    @property
+    def _site(self) -> tuple[Partition, Mode]:
+        """Where the truth value lives: its base node and the poset's mode."""
+        return self.base, self.poset.mode
 
     def __eq__(self, other):
-        return isinstance(other, SubalgebraSieve) and self.base == other.base and self.sieve == other.sieve
+        return isinstance(other, SubalgebraSieve) and (self._site, self._mask) == (other._site, other._mask)
 
     def __hash__(self):
-        return hash((self.base, self.sieve))
+        return hash((self._site, self._mask))
 
     def __contains__(self, w: Partition) -> bool:
-        return w in self.sieve
+        j = self.poset._lattice.index.get(w)
+        return j is not None and bool(self._mask >> j & 1)
 
     def __len__(self):
-        return len(self.sieve)
+        return self._mask.bit_count()
 
     def __iter__(self):
-        return iter(self.sieve)
+        nodes = self.poset.nodes
+        return (nodes[j] for j in _bits(self._mask))
 
     def leq(self, other: "SubalgebraSieve") -> bool:
-        if self.base != other.base:
+        if self._site != other._site:
             raise InputError("cannot compare truth values at different nodes")
-        return self.sieve.leq(other.sieve)
+        return not self._mask & ~other._mask
 
     @property
     def is_true(self) -> bool:
-        return self.sieve.mask == self._down
+        return self._mask == self.poset._lattice.up[self._node]
 
     @property
     def is_false(self) -> bool:
-        return not self.sieve.mask
+        return not self._mask
 
     def restrict(self, w2: Partition) -> "SubalgebraSieve":
         """The induced truth value at a subalgebra of the base."""
-        i2 = self.poset._require(w2)
-        if not self._down >> i2 & 1:
+        if not self.poset.leq(w2, self.base):
             raise NotSubalgebraError(f"{w2} is not a subalgebra of {self.base}")
-        return SubalgebraSieve._at(self.poset, i2, self.sieve.mask & self.poset._lattice.up[i2])
+        i2 = self.poset._require(w2)
+        return SubalgebraSieve._at(self.poset, i2, self._mask & self.poset._lattice.up[i2])
 
     def __repr__(self):
         return f"SubalgebraSieve(base={self.base}, members={len(self)})"
@@ -368,11 +367,11 @@ def valuation_sieve(
     subalgebras whose canonical coarse-graining of the projector has
     probability one.  States of any kind act through their density
     matrix."""
-    if not poset.is_element(w, alpha):
-        raise InputError(f"{sorted(alpha)} is not an element of {w}")
     i = poset._require(w)
-    n = poset.top.n_atoms
-    mask = mass_sieve(n, poset.mode, _mask_of(alpha), poset._state(rho)[1], 1.0 - tol.tau_one)
+    a = _element_mask(w, alpha)
+    if a is None:
+        raise InputError(f"{sorted(alpha)} is not an element of {w}")
+    mask = mass_sieve(poset.top.n_atoms, poset.mode, a, poset._state(rho)[1], 1.0 - tol.tau_one)
     return SubalgebraSieve._at(poset, i, mask & poset._lattice.up[i])
 
 
@@ -382,29 +381,27 @@ def check_local_valuation(
     phi: Mapping[Element, SubalgebraSieve],
 ) -> Report:
     """Null, monotonicity and exclusivity of an element-to-truth-value
-    map at one node, with the unit condition reported as a note."""
+    map at one node, with the unit condition reported as a note.  Every
+    key must be an element of the node and every value a truth value
+    at it."""
+    i = poset._require(w)
+    elements = _node_tables(poset.top.n_atoms, poset.mode)[1][i]
+    position = {frozenset(_bits(e)): x for x, e in enumerate(elements)}
+    sieves = [None] * len(elements)
+    for alpha, value in phi.items():
+        x = position.get(alpha)
+        if x is None:
+            raise InputError(f"map key {alpha!r} is not an element of {w}")
+        if not isinstance(value, SubalgebraSieve) or value._site != (w, poset.mode):
+            raise InputError(f"the value at {sorted(alpha)} is not a truth value at {w}")
+        sieves[x] = value._mask
+    if None in sieves:
+        raise InputError(f"map is not total on the node: missing {list(_bits(elements[sieves.index(None)]))}")
+    true = [m == poset._lattice.up[i] for m in sieves]
     report = Report("local valuation")
-    elements = poset.elements(w)
-    missing = [e for e in elements if e not in phi]
-    if missing:
-        raise InputError(f"map is not total on the node: missing {sorted(missing[0])}")
-    zero = frozenset()
-    unit = frozenset(range(poset.top.n_atoms))
-    report.record(phi[zero].is_false, "null condition: zero element not false")
-    for alpha, beta in itertools.combinations(elements, 2):
-        if alpha <= beta:
-            report.record(
-                phi[alpha].leq(phi[beta]),
-                lambda: f"monotonicity fails for {sorted(alpha)} within {sorted(beta)}",
-            )
-    for alpha, beta in itertools.permutations(elements, 2):
-        if not (alpha & beta) and phi[alpha].is_true:
-            report.record(
-                not phi[beta].is_true,
-                lambda: f"exclusivity fails for disjoint {sorted(alpha)} / {sorted(beta)}",
-            )
-    status = "holds" if phi[unit].is_true else "violated"
-    report.notes.append(f"unit condition: {status}")
+    report.record(not sieves[0], "null condition: zero element not false")
+    _check_order(report, elements, sieves, true, itertools.permutations(range(len(elements)), 2))
+    report.notes.append(f"unit condition: {'holds' if true[-1] else 'violated'}")
     report.checks += 1
     return report.finish()
 

@@ -17,11 +17,12 @@ as coarse-grainings), WITHOUT_CONSTANTS excludes it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BaseMismatchError, InputError
 
@@ -221,15 +222,32 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask_of(indices: Iterable[int], k: int, noun: str) -> int:
+    """The bitmask of a set of indices in 0..k-1 (bit i = index i); a
+    repeated index sets its bit once.  Each index is range-checked before
+    it is shifted, so a huge index costs no huge int."""
+    mask = 0
+    for i in indices:
+        try:
+            j = operator.index(i)
+        except TypeError:
+            raise InputError(f"{noun} index {i!r} is not an integer") from None
+        if not 0 <= j < k:
+            raise InputError(f"{noun} index outside 0..{k - 1}")
+        mask |= 1 << j
+    return mask
+
+
 def _composite(to: Sequence[int], grouping: Partition) -> Partition:
     """Base partition joining the base indices i whose codomain indices
     to[i] fall in one block of a partition of the codomain."""
     return Partition.of([[i for i, j in enumerate(to) if j in g] for g in grouping.blocks])
 
 
-def _image(p: Partition, subset: AbstractSet[int]) -> frozenset[int]:
-    """The union of p's blocks that meet a subset."""
-    return frozenset(i for b in p.blocks if not subset.isdisjoint(b) for i in b)
+def _image(p: Partition, subset: int) -> int:
+    """The union of p's blocks that meet a subset, both as bitmasks.  A
+    partition's blocks are checked indices, so they skip `_mask_of`."""
+    return sum(b for b in (sum(1 << j for j in block) for block in p.blocks) if b & subset)
 
 
 @dataclass(frozen=True)
@@ -265,10 +283,7 @@ class CoarseGraining:
 
     def image_indices(self, subset: Iterable[int]) -> frozenset[int]:
         """Codomain eigenvalue indices hit by a base index subset."""
-        subset = tuple(subset)
-        if any(not 0 <= i < len(self.to) for i in subset):
-            raise InputError(f"base index outside 0..{len(self.to) - 1}")
-        return frozenset(self.to[i] for i in subset)
+        return frozenset(self.to[i] for i in _bits(_mask_of(subset, len(self.to), "base")))
 
     def composite_partition(self, grouping: Partition) -> Partition:
         """Base partition induced by a partition of the codomain indices:
@@ -309,7 +324,7 @@ class Sieve:
     given; the masks the kernel builds are up-closed by construction.
     """
 
-    __slots__ = ("k", "mode", "mask", "_lattice", "_partitions")
+    __slots__ = ("k", "mode", "mask", "_lattice")
 
     def __init__(self, k: int, mode: Mode, partitions: Iterable[Partition]):
         lattice = _lattice(k, mode)
@@ -338,13 +353,10 @@ class Sieve:
         self.mode = mode
         self.mask = mask
         self._lattice = lattice
-        self._partitions = None
 
     @property
     def partitions(self) -> frozenset[Partition]:
-        if self._partitions is None:
-            self._partitions = frozenset(self)
-        return self._partitions
+        return frozenset(self)
 
     # -- constructors ------------------------------------------------
 
@@ -477,7 +489,7 @@ def _mass_groups(k: int, mode: Mode, subset: int) -> tuple[tuple[int, int], ...]
     that meet a subset bitmask: one (union, group) mask pair per union."""
     groups: dict[int, int] = {}
     for i, p in enumerate(_lattice(k, mode).parts):
-        union = sum(m for m in (sum(1 << j for j in b) for b in p.blocks) if m & subset)
+        union = _image(p, subset)
         groups[union] = groups.get(union, 0) | 1 << i
     return tuple(groups.items())
 

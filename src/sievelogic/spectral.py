@@ -14,7 +14,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     NotHermitianError,
     ZeroNormError,
 )
-from .sieves import Partition, _image
+from .sieves import Partition, _bits, _image, _mask_of
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,12 @@ def _stack_max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
-def _subset_sum(mats: Sequence[np.ndarray], idx: AbstractSet[int], noun: str) -> np.ndarray:
-    """The sum of mats[i] over a set of distinct indices, added in
-    ascending index order."""
-    n = len(mats)
-    if any(i < 0 or i >= n for i in idx):
-        raise InputError(f"{noun} index outside 0..{n - 1}")
+def _subset_sum(mats: Sequence[np.ndarray], indices: Iterable[int], noun: str) -> np.ndarray:
+    """The sum of mats[i] over a set of indices, added in ascending
+    index order."""
     out = np.zeros(mats[0].shape, dtype=complex)
-    for i in range(n):
-        if i in idx:
-            out += mats[i]
+    for i in _bits(_mask_of(indices, len(mats), noun)):
+        out += mats[i]
     return out
 
 
@@ -233,7 +229,7 @@ class SpectralOperator:
 
     def projector(self, indices) -> np.ndarray:
         """Spectral projector for a set of eigenvalue indices."""
-        return _subset_sum(self.projectors, set(indices), "eigenvalue")
+        return _subset_sum(self.projectors, indices, "eigenvalue")
 
     def eigenvalue_index(self, value: float, eps: float) -> int:
         """Index of the eigenvalue matching `value` within eps."""
@@ -387,11 +383,9 @@ def coarse_grained_projector(
 ) -> np.ndarray:
     """Spectral projector of f(a) for the image f(delta): the sum of a's
     projectors over every index sharing an f-fiber with delta."""
-    idx = set(delta)
-    if any(i < 0 or i >= a.k for i in idx):
-        raise InputError(f"eigenvalue index outside 0..{a.k - 1}")
+    s = _mask_of(delta, a.k, "eigenvalue")
     fibers, _ = value_fibers(a, f, tol)
-    return a.projector(_image(fibers, idx))
+    return a.projector(_bits(_image(fibers, s)))
 
 
 class QuantumState:

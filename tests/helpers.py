@@ -308,6 +308,52 @@ def brute_valuation_sieve(n: int, mode: Mode, w: Partition, alpha, weights, cuto
     return frozenset(out)
 
 
+def brute_axiom_report(side: str, values: dict, whole: frozenset, partial: bool = False) -> str:
+    """The text of an axiom report, rebuilt from the definitions on
+    frozensets.  `values` maps every element (a frozenset of indices) to
+    its truth value (a frozenset of partitions); `whole` is the totally
+    true value, and a value is true when it equals a nonempty `whole`.
+
+    side "spectrum" is `check_axioms` over the subsets of a spectrum:
+    monotonicity and exclusivity visit every ordered pair of subsets,
+    equal ones included, and a false unit is a violation, or a note when
+    `partial`.  side "poset" is `check_local_valuation` over the elements
+    of one node: pairs of distinct elements, and the unit as a note."""
+    spectrum = side == "spectrum"
+    is_true = lambda v: bool(whole) and v == whole  # noqa: E731
+    checks, violations = 2, []  # the null and the unit condition
+    if values[frozenset()]:
+        violations.append(
+            "null condition: empty subset not totally false" if spectrum else "null condition: zero element not false"
+        )
+    for x in values:
+        for y in values:
+            if x == y and not spectrum:
+                continue
+            if x <= y:
+                checks += 1
+                if not values[x] <= values[y]:
+                    violations.append(f"monotonicity fails for {sorted(x)} within {sorted(y)}")
+            if not x & y and is_true(values[x]):
+                checks += 1
+                if is_true(values[y]):
+                    violations.append(f"exclusivity fails for disjoint {sorted(x)} / {sorted(y)}")
+    notes = []
+    unit_true = is_true(values[max(values, key=len)])
+    if not spectrum:
+        notes.append(f"unit condition: {'holds' if unit_true else 'violated'}")
+    elif partial:
+        notes.append(f"unit condition: {'holds' if unit_true else 'violated (legal for partial-valuation families)'}")
+    elif not unit_true:
+        violations.append("unit condition: full spectrum not totally true")
+    title = "valuation axioms" if spectrum else "local valuation"
+    status = f"{len(violations)} violation(s)" if violations else "ok"
+    lines = [f"{title}: {checks} checks, {status}"]
+    lines += [f"  violation: {v}" for v in sorted(violations)]
+    lines += [f"  note: {n}" for n in notes]
+    return "\n".join(lines)
+
+
 def witness_ok_independent(fam: ContextFamily, w: DualSectionWitness) -> bool:
     """Cross-context agreement recheck by direct matrix comparison,
     without the class index."""

@@ -132,6 +132,13 @@ class TestEval:
         res = run(runner, "eval", "spin_one", "-v", "state:nope", "-p", "Sx in {1}")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("index", ["3", "-1", "10000000000", "1000000000000", "100000000000000000000"])
+    def test_index_outside_spectrum_exits_2(self, runner, index):
+        # refused with the range message, before any int of that size is built
+        res = run(runner, "eval", "spin_one", "-v", "state:psi", "-p", f"Sx in {{{index}}}", "--by-index")
+        assert res.exit_code == 2
+        assert "eigenvalue index outside 0..2" in res.stderr
+
     def test_bad_proposition_exits_2(self, runner):
         res = run(runner, "eval", "spin_one", "-v", "state:psi", "-p", "Sx = 1")
         assert res.exit_code == 2

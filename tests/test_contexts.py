@@ -15,6 +15,7 @@ from sievelogic import (
     Partition,
     Proposition,
     QuantumState,
+    Sieve,
     admissible_partitions,
     SubalgebraPoset,
     SubalgebraSieve,
@@ -35,7 +36,9 @@ from sievelogic.contexts import _node_tables
 from sievelogic.sieves import _image
 from sievelogic.spectral import max_abs
 from helpers import (
+    brute_axiom_report,
     brute_coarsening_checks,
+    brute_node_elements,
     brute_restriction_checks,
     brute_subalgebras,
     brute_valuation_sieve,
@@ -116,7 +119,10 @@ class TestSubalgebraPoset:
             frozenset([0, 1, 2, 3]),
         )
         assert poset4.is_element(w, frozenset([0, 1]))
+        assert poset4.is_element(w, [1, 0, 1])
         assert not poset4.is_element(w, frozenset([0]))
+        for alpha in ([0, 1, 4], [-1], [0.0, 1], ["a"], [0, 1, 10**12], [10**20]):
+            assert not poset4.is_element(w, alpha)
 
     def test_element_matrix_and_node_context(self, poset4):
         w = Partition.of([(0, 1), (2, 3)])
@@ -152,6 +158,8 @@ class TestCanonicalCoarsening:
             canonical_coarsening(poset4, w2, FINEST4, frozenset([0, 1]))
         with pytest.raises(InputError):
             canonical_coarsening(poset4, w2, w2, frozenset([0]))
+        with pytest.raises(InputError, match="is not an element"):
+            canonical_coarsening(poset4, w2, w2, frozenset([0, 1, 10**12]))
 
     def test_matches_least_dominating_oracle(self, poset4):
         for w1 in poset4.nodes:
@@ -220,7 +228,7 @@ class TestCoarseningAxioms:
         as_set = check_coarsening_axioms(poset4, lambda *args: set(broken(*args)))
         assert str(as_list) == str(as_set) == str(want)
 
-    @pytest.mark.parametrize("answer", [None, ["a"], [-1], [1.5]])
+    @pytest.mark.parametrize("answer", [None, ["a"], [-1], [1.5], [0, 4], [10**12]])
     def test_non_index_answer_rejected(self, poset4, answer):
         with pytest.raises(InputError, match="is not a set of atom indices"):
             check_coarsening_axioms(poset4, lambda w1, w2, alpha: answer)
@@ -260,8 +268,14 @@ class TestValuationSieve:
 
     def test_guards(self, poset4):
         psi = QuantumState.vector([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^\[7\] is not an element of 0\|1\|2\|3$"):
             valuation_sieve(psi, poset4, FINEST4, frozenset([7]))
+        pair = Partition.of([(0, 1), (2, 3)])
+        for alpha, text in ([[0], r"\[0\]"], [[1.5], r"\[1.5\]"], [[-1, 0, 1], r"\[-1, 0, 1\]"], [[10**12], r"\[1000000000000\]"]):
+            with pytest.raises(InputError, match=rf"^{text} is not an element of 0,1\|2,3$"):
+                valuation_sieve(psi, poset4, pair, alpha)
+        with pytest.raises(InputError, match="is not a node of this poset"):
+            valuation_sieve(psi, poset4, Partition.of([(0, 1), (2,)]), frozenset())
 
     def test_state_of_other_dimension_rejected(self):
         # three atoms on a 4-dimensional space against a 3-dimensional state
@@ -321,6 +335,44 @@ class TestLocalValuation:
         with pytest.raises(InputError):
             check_local_valuation(poset4, FINEST4, {})
 
+    def test_values_at_another_node_rejected(self):
+        poset = SubalgebraPoset(BooleanContext([np.diag(row) for row in np.eye(3)]))
+        one = Partition.one_block(3)
+        phi = {alpha: true_w(poset, one) for alpha in poset.elements(FINEST3)}
+        with pytest.raises(InputError, match=r"the value at \[\] is not a truth value at 0\|1\|2"):
+            check_local_valuation(poset, FINEST3, phi)
+        phi = {alpha: true_w(poset, FINEST3) for alpha in poset.elements(FINEST3)}
+        phi[frozenset([0, 2])] = true_w(poset, one)
+        with pytest.raises(InputError, match=r"the value at \[0, 2\] is not a truth value at 0\|1\|2"):
+            check_local_valuation(poset, FINEST3, phi)
+        phi[frozenset([0, 2])] = true_w(poset, FINEST3).sieve
+        with pytest.raises(InputError, match=r"the value at \[0, 2\]"):
+            check_local_valuation(poset, FINEST3, phi)
+        other_mode = SubalgebraPoset(poset.top, Mode.WITHOUT_CONSTANTS)
+        phi[frozenset([0, 2])] = true_w(other_mode, FINEST3)
+        with pytest.raises(InputError, match=r"the value at \[0, 2\]"):
+            check_local_valuation(poset, FINEST3, phi)
+
+    def test_values_from_an_equal_poset_accepted(self, poset4):
+        # truth values are compared by base, mode and mask, as in ==
+        twin = SubalgebraPoset(BooleanContext(poset4.top.atoms))
+
+        def phi(poset):
+            empty = SubalgebraSieve(poset, FINEST4, [])
+            return {alpha: true_w(poset, FINEST4) if alpha else empty for alpha in poset.elements(FINEST4)}
+
+        assert phi(twin) == phi(poset4)
+        report = check_local_valuation(poset4, FINEST4, phi(twin))
+        assert str(report) == str(check_local_valuation(poset4, FINEST4, phi(poset4)))
+        assert not report.ok
+
+    def test_keys_outside_the_node_rejected(self, poset4):
+        pair = Partition.of([(0, 1), (2, 3)])
+        phi = {alpha: true_w(poset4, pair) for alpha in poset4.elements(pair)}
+        phi[frozenset([0])] = true_w(poset4, pair)
+        with pytest.raises(InputError, match=r"map key frozenset\(\{0\}\) is not an element of 0,1\|2,3"):
+            check_local_valuation(poset4, pair, phi)
+
 
 class TestRestrictionCompatibility:
     def test_spin1(self, spin1_sz):
@@ -371,6 +423,52 @@ class TestSubalgebraSieve:
         assert s1.leq(true_w(poset4, FINEST4))
         with pytest.raises(InputError):
             s1.leq(s2)
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_view_parity(self, n, mode):
+        """The view's protocol against the member set and the mask it
+        stands for, at every node, with random up-closed members."""
+        rng = np.random.default_rng([n, mode is Mode.WITH_CONSTANTS, 81])
+        poset = diag_poset(n, mode)
+        twin = SubalgebraPoset(rand_basis_context(rng, n), mode)
+        other = Mode.WITHOUT_CONSTANTS if mode is Mode.WITH_CONSTANTS else Mode.WITH_CONSTANTS
+        nodes = sorted(admissible_partitions(n, mode))
+        for w in nodes:
+            down = sorted(brute_subalgebras(n, mode, w))
+            picks = [rng.choice(len(down), size=int(rng.integers(0, 3))) for _ in range(3)]
+            for seed in picks:
+                members = frozenset(q for j in seed for q in brute_subalgebras(n, mode, down[j]))
+                mask = sum(1 << nodes.index(q) for q in members)
+                s = SubalgebraSieve(poset, w, members)
+                assert s.base == w and s.members == members and len(s) == len(members)
+                assert list(s) == sorted(members)
+                assert [q in s for q in nodes] == [q in members for q in nodes]
+                assert Partition.discrete(n + 1) not in s
+                assert s.sieve == Sieve._of_mask(n, mode, mask)
+                assert s.is_true == (members == frozenset(down)) and s.is_false == (not members)
+                # equal exactly when base, mode and mask are equal
+                same = SubalgebraSieve(twin, w, sorted(members))
+                assert s == same and hash(s) == hash(same)
+                for seed2 in picks:
+                    members2 = frozenset(q for j in seed2 for q in brute_subalgebras(n, mode, down[j]))
+                    assert (s == SubalgebraSieve(poset, w, members2)) == (members == members2)
+                assert s != s.sieve
+                if not members and w in admissible_partitions(n, other):
+                    # the same base and mask in the other mode
+                    assert s != SubalgebraSieve(diag_poset(n, other), w, members)
+                for w2 in nodes:
+                    if w2 != w:
+                        with pytest.raises(InputError, match="different nodes"):
+                            s.leq(true_w(poset, w2))
+                    if w2 in down:
+                        r = s.restrict(w2)
+                        assert r.base == w2 and r.members == members & brute_subalgebras(n, mode, w2)
+                        assert r == SubalgebraSieve(poset, w2, members & brute_subalgebras(n, mode, w2))
+                    else:
+                        with pytest.raises(NotSubalgebraError):
+                            s.restrict(w2)
+                assert s.leq(true_w(twin, w)) and SubalgebraSieve(poset, w, []).leq(s)
 
 
 MODES = [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]
@@ -483,8 +581,7 @@ class TestAuditSecondRoute:
             for s in range(1 << n):
                 subset = frozenset(i for i in range(n) if s >> i & 1)
                 least = least_dominating_oracle(poset, w, subset)
-                assert least == _image(w, subset)
-                assert image[s] == sum(1 << i for i in least)
+                assert image[s] == _image(w, s) == sum(1 << i for i in least)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", range(1, 6))
@@ -495,6 +592,39 @@ class TestAuditSecondRoute:
         rho = rand_density_state(np.random.default_rng(n), n)
         restriction = check_restriction_compatibility(rho, poset)
         assert restriction.ok and restriction.checks == brute_restriction_checks(n, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_local_valuation_reports(self, n, mode):
+        """`check_local_valuation` reports, byte for byte, against the
+        report rebuilt from the axioms' definitions on frozensets, at every
+        node: a state's map, random up-closed maps and broken maps."""
+        rng = np.random.default_rng([n, mode is Mode.WITH_CONSTANTS, 91])
+        poset = diag_poset(n, mode)
+        weights = rng.random(n) * (rng.random(n) < 0.6)
+        weights[int(rng.integers(n))] += 0.5
+        rho = QuantumState.density(np.diag(weights / weights.sum()))
+        for w in poset.nodes:
+            down = sorted(brute_subalgebras(n, mode, w))
+            elements = brute_node_elements(w)
+
+            def up_closed():
+                seed = rng.choice(len(down), size=int(rng.integers(0, 3)))
+                return SubalgebraSieve(poset, w, {q for j in seed for q in brute_subalgebras(n, mode, down[j])})
+
+            full, empty = true_w(poset, w), SubalgebraSieve(poset, w, [])
+            maps = [
+                {alpha: valuation_sieve(rho, poset, w, alpha) for alpha in elements},
+                {alpha: up_closed() for alpha in elements},
+                {alpha: up_closed() for alpha in elements},
+                {alpha: full if len(alpha) == 1 else empty for alpha in elements},
+                {alpha: full for alpha in elements},
+                {alpha: full if alpha else empty for alpha in elements},
+            ]
+            for phi in maps:
+                values = {alpha: value.members for alpha, value in phi.items()}
+                want = brute_axiom_report("poset", values, frozenset(down))
+                assert str(check_local_valuation(poset, w, phi)) == want
 
     def test_four_atom_counts(self):
         assert brute_coarsening_checks(4, Mode.WITH_CONSTANTS) == 4046

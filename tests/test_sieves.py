@@ -28,7 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import mass_sieve, subset_masses
+from sievelogic.sieves import _mask_of, mass_sieve, subset_masses
 from helpers import (
     brute_classify,
     brute_coarsenings,
@@ -80,6 +80,29 @@ class TestPartition:
     def test_format(self):
         p = Partition.of([[0, 2], [1]])
         assert p.format((-1.0, 0.0, 1.0), lambda v: f"{v:g}") == "{-1,1}|{0}"
+
+
+class TestIndexMask:
+    """The one reading of an index set as a bitmask."""
+
+    @given(st.lists(st.integers(0, 70)))
+    def test_matches_set_of_indices(self, indices):
+        assert _mask_of(indices, 71, "atom") == sum(1 << i for i in set(indices))
+        assert _mask_of(iter(indices), 71, "atom") == _mask_of(frozenset(indices), 71, "atom")
+
+    def test_integer_like_accepted(self):
+        assert _mask_of([np.int64(3), True, 3], 4, "atom") == 0b1010
+
+    @pytest.mark.parametrize("bad", [1.0, 1.7, "1", None, np.float64(2.0)])
+    def test_rejected(self, bad):
+        with pytest.raises(InputError, match=r"^atom index .* is not an integer$"):
+            _mask_of([0, bad], 4, "atom")
+
+    @pytest.mark.parametrize("bad", [-1, 4, 10**12, 10**20, np.int64(2**62)])
+    def test_range_checked_before_the_shift(self, bad):
+        # a huge index is refused, not shifted into a huge int
+        with pytest.raises(InputError, match=r"^eigenvalue index outside 0\.\.3$"):
+            _mask_of([0, bad], 4, "eigenvalue")
 
 
 class TestEnumeration:
@@ -450,9 +473,12 @@ class TestIndexMapSecondRoute:
 
     def test_image_rejects_outside_base(self):
         f = CoarseGraining(Partition.of([[0, 2], [1]]), (1.0, 0.0), base=None)
-        for bad in (-1, 3):
-            with pytest.raises(InputError):
+        for bad in (-1, 3, 10**12):
+            with pytest.raises(InputError, match=r"^base index outside 0\.\.2$"):
                 f.image_indices([bad])
+        with pytest.raises(InputError, match="^base index 1.5 is not an integer$"):
+            f.image_indices([1.5])
+        assert f.image_indices([np.int64(2), 2]) == frozenset([1])
 
 
 class TestKernelClosure:

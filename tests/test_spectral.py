@@ -364,6 +364,27 @@ class TestCoarseGrainedProjector:
         expected = spin1_sx.projector([0, 2])
         assert max_abs(p - expected) < 1e-9
 
+    def test_index_guards(self, spin1_sx):
+        # an index set is read as a bitmask: non-integral indices are
+        # rejected, not truncated or skipped
+        square = lambda x: x * x  # noqa: E731
+        for bad in ([0.5], [1, "2"]):
+            with pytest.raises(InputError, match="is not an integer"):
+                coarse_grained_projector(spin1_sx, square, bad)
+            with pytest.raises(InputError, match="is not an integer"):
+                spin1_sx.projector(bad)
+        for bad in ([-1], [3], [0, 10**12], [10**20]):
+            with pytest.raises(InputError, match="eigenvalue index outside 0..2"):
+                coarse_grained_projector(spin1_sx, square, bad)
+            with pytest.raises(InputError, match="eigenvalue index outside 0..2"):
+                spin1_sx.projector(bad)
+        assert max_abs(spin1_sx.projector([np.int64(2), 0, 2]) - spin1_sx.projector([0, 2])) < 1e-12
+        ctx = BooleanContext([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(InputError, match="atom index 0.5 is not an integer"):
+            ctx.element([0.5])
+        with pytest.raises(InputError, match="atom index outside 0..1"):
+            ctx.element([10**12])
+
     def test_matches_infimum_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

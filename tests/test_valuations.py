@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itertools
+
 from sievelogic import (
     DEFAULT_TOL,
     Classification,
@@ -18,6 +20,7 @@ from sievelogic import (
     Sieve,
     SubalgebraPoset,
     Tolerances,
+    admissible_partitions,
     apply_function,
     canonical_graining,
     check_axioms,
@@ -35,6 +38,7 @@ from sievelogic import (
     valuations,
 )
 from helpers import (
+    brute_axiom_report,
     brute_consistent,
     brute_induced_sieve,
     brute_mass_sieve,
@@ -60,6 +64,22 @@ class TestProposition:
             Proposition(spin1_sx, frozenset([3]))
         with pytest.raises(InputError):
             Proposition(spin1_sx, frozenset([-1]))
+
+    @pytest.mark.parametrize("index", [1.7, 0.0, "1", None])
+    def test_non_integral_index_rejected(self, spin1_sx, index):
+        with pytest.raises(InputError, match="is not an integer"):
+            Proposition(spin1_sx, frozenset([index]))
+
+    @pytest.mark.parametrize("index", [-1, 3, 10**12, 10**20])
+    def test_index_outside_spectrum_rejected(self, spin1_sx, index):
+        with pytest.raises(InputError, match=r"^eigenvalue index outside 0\.\.2$"):
+            Proposition(spin1_sx, frozenset([index]))
+
+    def test_integer_like_indices(self, spin1_sx):
+        p = Proposition(spin1_sx, [np.int64(2), 0, 2, True])
+        assert p.indices == frozenset([0, 1, 2]) and p.bits == 0b111
+        assert all(type(i) is int for i in p.indices)
+        assert Proposition(spin1_sx, (i for i in [1])).indices == frozenset([1])
 
     def test_by_values(self, spin1_sx):
         p = Proposition.by_values(spin1_sx, [1.0, -1.0])
@@ -92,6 +112,16 @@ class TestPartialValuation:
     def test_locate_misses_unrelated(self, spin1_sx, spin1_sz):
         v = PartialValuation.maximal(spin1_sx, 2)
         assert v.locate(spin1_sz) is None
+
+    def test_single_indices_checked_like_index_sets(self, spin1_sx):
+        # one eigenvalue index goes through the same check as a set of them
+        for bad, text in ((1.5, "index 1.5 is not an integer"), (3, r"outside 0\.\.2"), (10**12, r"outside 0\.\.2")):
+            with pytest.raises(InputError, match=text):
+                PartialValuation.maximal(spin1_sx, bad)
+            with pytest.raises(InputError, match=text):
+                PartialValuation.explicit([(spin1_sx, bad)])
+        for v in (PartialValuation.maximal(spin1_sx, np.int64(2)), PartialValuation.explicit([(spin1_sx, np.int64(2))])):
+            assert v.assignments() == [(spin1_sx, 2)] and type(v.assignments()[0][1]) is int
 
     def test_explicit_consistent(self, spin1_sz):
         sz2 = apply_function(spin1_sz, lambda x: x * x)
@@ -371,6 +401,14 @@ class TestDisjunctionStrength:
                 assert got is DisjunctionStrength.EQUALITY
 
 
+    def test_non_integral_indices_rejected(self, spin1_sx, spin1_psi):
+        nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
+        with pytest.raises(InputError, match="eigenvalue index 0.9 is not an integer"):
+            check_disjunction_strength(nu, spin1_sx, [0.9], [1.2])
+        with pytest.raises(InputError, match="eigenvalue index 1.2 is not an integer"):
+            check_disjunction_strength(nu, spin1_sx, [0], [1.2])
+
+
 class TestFunctionalRule:
     def test_square_map_spin1(self, spin1_sx, spin1_psi, spin1_sx2):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
@@ -392,6 +430,14 @@ class TestFunctionalRule:
             for mode in (Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS):
                 nu = GeneralizedValuation.from_state(psi, mode)
                 assert check_functional_rule(nu, a, f, delta).ok
+
+
+    def test_non_integral_delta_rejected(self, spin1_sx, spin1_psi):
+        nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
+        with pytest.raises(InputError, match="eigenvalue index 0.5 is not an integer"):
+            check_functional_rule(nu, spin1_sx, lambda x: x * x, [0.5])
+        with pytest.raises(InputError, match="outside 0..2"):
+            check_functional_rule(nu, spin1_sx, lambda x: x * x, [3])
 
 
 class TestExtractPartial:
@@ -615,6 +661,56 @@ class TestMaskRowSecondRoute:
             frozenset(q for q, block in blocks.items() if self._subset(s) & block) for s in range(1 << a.k)
         ]
         assert self._row(nu, a) == want
+
+
+class _MaskTable(GeneralizedValuation):
+    """Broken on purpose: the sieve mask of subset s is table(s), for any
+    operator."""
+
+    def __init__(self, table, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.table = table
+
+    def sieve_mask(self, a, s):
+        return self.table(a, s)
+
+
+class TestAxiomReportSecondRoute:
+    """`check_axioms` reports, byte for byte, against the report rebuilt
+    from the axioms' definitions on frozensets."""
+
+    @staticmethod
+    def _valuations(rng, a, mode):
+        k = a.k
+        full = (1 << len(admissible_partitions(k, mode))) - 1
+        masks = [int(m) for m in rng.integers(0, full + 1, size=1 << k)]
+        yield GeneralizedValuation.from_state(_supported_state(rng, a, "vector"), mode)
+        yield GeneralizedValuation.from_state(_supported_state(rng, a, "density"), mode)
+        yield GeneralizedValuation.threshold(_supported_state(rng, a, "density"), float(rng.uniform(0.05, 1.0)), mode)
+        yield GeneralizedValuation.from_partial(PartialValuation.maximal(a, int(rng.integers(k))), mode)
+        coarse = apply_function(a, rand_value_map(rng, k))
+        yield GeneralizedValuation.from_partial(PartialValuation.maximal(coarse, int(rng.integers(coarse.k))), mode)
+        state = QuantumState.vector(np.eye(a.dim)[0])
+        for table in (
+            lambda b, s: full if bin(s).count("1") == 1 else 0,  # exactly the singletons true
+            lambda b, s: full,  # everything true, the empty subset too
+            lambda b, s: masks[s],  # arbitrary masks
+        ):
+            yield _MaskTable(table, "state", mode, state=state)
+            yield _MaskTable(table, "partial", mode, partial=PartialValuation.maximal(a, 0))
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_reports_match_definition(self, k, mode):
+        rng = np.random.default_rng([k, mode is Mode.WITH_CONSTANTS, 61])
+        subsets = [frozenset(c) for n in range(k + 1) for c in itertools.combinations(range(k), n)]
+        whole = admissible_partitions(k, mode)
+        for _ in range(2):
+            a = rand_operator(rng, k + int(rng.integers(0, 2)), k)
+            for nu in self._valuations(rng, a, mode):
+                values = {d: nu.evaluate(Proposition(a, d)).partitions for d in subsets}
+                want = brute_axiom_report("spectrum", values, whole, partial=nu.kind == "partial")
+                assert str(check_axioms(nu, a)) == want
 
 
 class TestNaturality:
