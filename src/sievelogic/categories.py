@@ -19,7 +19,7 @@ from .contexts import BooleanContext
 from .errors import InputError, NotSubalgebraError
 from .ks_search import ContextFamily, search_dual_section
 from .report import Report
-from .sieves import CoarseGraining, Mode, Partition, _from_values, _lattice
+from .sieves import CoarseGraining, Mode, Partition, _from_values, _lattice, _mask_of
 from .spectral import (
     DEFAULT_TOL,
     SpectralOperator,
@@ -97,8 +97,7 @@ class TwoValuedHom:
     chosen_atom: int
 
     def __post_init__(self):
-        if not 0 <= self.chosen_atom < self.context.n_atoms:
-            raise InputError(f"atom index outside 0..{self.context.n_atoms - 1}")
+        _mask_of([self.chosen_atom], self.context.n_atoms, "atom")
 
     def value(self, atom_indices: Iterable[int]) -> int:
         return 1 if self.chosen_atom in set(atom_indices) else 0

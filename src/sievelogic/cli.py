@@ -29,25 +29,21 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import click
-import numpy as np
 
-from .contexts import BooleanContext, context_from_vectors
 from .errors import InputError, SieveLogicError
-from .ks_search import ContextFamily, minimal_uncolorable_subfamily, search_dual_section
 from .sieves import Mode, Partition, Sieve, all_partitions, lattice_dot, up_closure
-from .spectral import QuantumState, SpectralOperator, Tolerances, decompose, from_spectral_data
-from .valuations import (
-    GeneralizedValuation,
-    PartialValuation,
-    Proposition,
-    check_axioms,
-    check_disjunction_strength,
-    check_naturality,
-    DisjunctionStrength,
-)
+
+# numpy and the linear-algebra layers are imported inside the functions
+# that use them, so each command loads only what it runs.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ks_search import ContextFamily
+    from .spectral import QuantumState, SpectralOperator, Tolerances
+    from .valuations import GeneralizedValuation, Proposition
 
 SYSTEM_FORMAT = "sievelogic.system/1"
 CONTEXTS_FORMAT = "sievelogic.contexts/1"
@@ -65,6 +61,8 @@ def _num_in(x, where: str) -> complex:
 
 
 def _matrix_in(rows, where: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{where}: expected a list of rows")
     return np.array(
@@ -73,6 +71,8 @@ def _matrix_in(rows, where: str) -> np.ndarray:
 
 
 def _vector_in(entries, where: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{where}: expected a list of entries")
     return np.array([_num_in(x, where) for x in entries], dtype=complex)
@@ -84,10 +84,14 @@ def _num_out(z) -> list:
 
 
 def _matrix_out(m: np.ndarray) -> list:
+    import numpy as np
+
     return [[_num_out(z) for z in row] for row in np.asarray(m)]
 
 
 def _vector_out(v: np.ndarray) -> list:
+    import numpy as np
+
     return [_num_out(z) for z in np.asarray(v).reshape(-1)]
 
 
@@ -136,6 +140,8 @@ def _parse_json(text: str, expected_format: str) -> dict:
 
 
 def _merge_tolerances(data: dict, cli_overrides: tuple[str, ...]) -> Tolerances:
+    from .spectral import Tolerances
+
     file_part = data.get("tolerances", {})
     if not isinstance(file_part, dict):
         raise InputError("tolerances: expected an object")
@@ -162,6 +168,8 @@ class SystemData:
 
 
 def load_system(token: str, tol_overrides: tuple[str, ...] = ()) -> SystemData:
+    from .spectral import QuantumState, decompose, from_spectral_data
+
     data = _parse_json(_read_input(token), SYSTEM_FORMAT)
     dim = data.get("dimension")
     if not isinstance(dim, int) or dim < 1:
@@ -236,6 +244,9 @@ class FamilyData:
 
 
 def load_context_family(token: str, tol_overrides: tuple[str, ...] = ()) -> FamilyData:
+    from .contexts import BooleanContext, context_from_vectors
+    from .ks_search import ContextFamily
+
     data = _parse_json(_read_input(token), CONTEXTS_FORMAT)
     dim = data.get("dimension")
     if not isinstance(dim, int) or dim < 1:
@@ -307,6 +318,8 @@ def _lookup(table: dict, kind: str, name: str):
 def build_valuation(spec: str, system: SystemData, mode: Mode) -> GeneralizedValuation:
     """Parse a valuation spec: state:<name>, threshold:<name>:<r>, or
     partial:<operator>=<eigenvalue>."""
+    from .valuations import GeneralizedValuation, PartialValuation
+
     head, _, rest = spec.partition(":")
     if head == "state" and rest:
         return GeneralizedValuation.from_state(_lookup(system.states, "state", rest), mode, system.tol)
@@ -349,6 +362,8 @@ def parse_proposition(
 ) -> tuple[str, Proposition]:
     """Parse "<operator> in {v1, v2, ...}"; numbers are eigenvalues
     matched within eps_group, or indices with by_index."""
+    from .valuations import Proposition
+
     m = _PROP_RE.match(text)
     if not m:
         raise InputError(f"bad proposition {text!r}; expected \"<operator> in {{v1,v2}}\"")
@@ -456,6 +471,8 @@ def cmd_eval(system_file, valuation, proposition, mode_flag, by_index, as_json, 
 def cmd_axioms(system_file, valuation, only, mode_flag, as_json, tol):
     """Audit a valuation: axioms, functional rule, naturality, and the
     disjunction-strength tally for every operator."""
+    from .valuations import DisjunctionStrength, check_axioms, check_disjunction_strength, check_naturality
+
     try:
         system = load_system(system_file, tol)
         mode = _resolve_mode(mode_flag, system)
@@ -518,6 +535,8 @@ def _disjoint_pairs(k: int):
 @click.option("--tol", multiple=True, metavar="KEY=VAL")
 def cmd_ks(context_file, show_witness, minimize, as_json, tol):
     """Search for a global 0/1 valuation over a context family."""
+    from .ks_search import minimal_uncolorable_subfamily, search_dual_section
+
     try:
         fam = load_context_family(context_file, tol)
         witness = search_dual_section(fam.family)

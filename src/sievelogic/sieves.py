@@ -247,7 +247,14 @@ def _composite(to: Sequence[int], grouping: Partition) -> Partition:
 def _image(p: Partition, subset: int) -> int:
     """The union of p's blocks that meet a subset, both as bitmasks.  A
     partition's blocks are checked indices, so they skip `_mask_of`."""
-    return sum(b for b in (sum(1 << j for j in block) for block in p.blocks) if b & subset)
+    union = 0
+    for block in p.blocks:
+        b = 0
+        for j in block:
+            b |= 1 << j
+        if b & subset:
+            union |= b
+    return union
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,18 @@ class TestTwoValuedHom:
         with pytest.raises(InputError):
             TwoValuedHom(ctx, 3)
 
+    @pytest.mark.parametrize("atom", [0.5, -1, 2, "a"])
+    def test_non_index_atom_rejected(self, atom):
+        # a 2-atom context: 2 is one past the last atom
+        ctx = spectral_algebra(decompose(np.diag([0.0, 1.0])))
+        with pytest.raises(InputError):
+            TwoValuedHom(ctx, atom)
+
+    def test_unit_is_true_for_every_atom(self):
+        ctx = spectral_algebra(decompose(np.diag([0.0, 1.0])))
+        for atom in range(2):
+            assert TwoValuedHom(ctx, atom).value([0, 1]) == 1
+
     def test_restrict_to_trivial(self, spin1_sz):
         ctx = spectral_algebra(spin1_sz)
         trivial = spectral_algebra(decompose(np.eye(3)))
