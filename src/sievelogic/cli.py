@@ -19,12 +19,16 @@ Bare names (spin_half, spin_one, ks18_dim4) resolve to bundled data
 when no file of that name exists.  Output is deterministic for fixed
 input and flags.  Exit codes: 0 success/colorable, 1 axiom violation,
 2 bad input (an unreadable or non-UTF-8 file included), 3 uncolorable.
+A file value of the wrong JSON type (a non-object section, a non-list,
+a ragged matrix, a bool as the dimension or as a matrix or vector entry,
+a non-string context name) is bad input; its message names its location.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
@@ -33,6 +37,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import click
 
+from . import __version__
 from .errors import InputError, SieveLogicError
 from .sieves import Mode, Partition, Sieve, all_partitions, lattice_dot, up_closure
 
@@ -51,31 +56,59 @@ BUNDLED = ("spin_half", "spin_one", "ks18_dim4")
 
 
 # -- value (de)serialization ------------------------------------------
+#
+# One accessor per JSON shape: a file value of the wrong type raises
+# InputError, and `_at` puts its location in front of the message once.
 
-def _num_in(x, where: str) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(t, (int, float)) for t in x):
-        return complex(x[0], x[1])
-    raise InputError(f"{where}: expected a number or [re, im] pair, got {x!r}")
+@contextmanager
+def _at(where: str):
+    try:
+        yield
+    except SieveLogicError as e:
+        raise InputError(f"{where}: {e}") from e
 
 
-def _matrix_in(rows, where: str) -> np.ndarray:
+def _object(x) -> dict:
+    if not isinstance(x, dict):
+        raise InputError("expected an object")
+    return x
+
+
+def _list(x) -> list:
+    if not isinstance(x, list) or not x:
+        raise InputError("expected a nonempty list")
+    return x
+
+
+def _number(x) -> complex:
+    pair = x if isinstance(x, list) and len(x) == 2 else [x, 0]
+    try:
+        if all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in pair):
+            return complex(*pair)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InputError(f"expected a number or [re, im] pair, got {x!r}")
+
+
+def _matrix_in(rows) -> np.ndarray:
     import numpy as np
 
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise InputError(f"{where}: expected a list of rows")
-    return np.array(
-        [[_num_in(x, where) for x in row] for row in rows], dtype=complex
-    )
+    rows = [_list(r) for r in _list(rows)]
+    if len({len(r) for r in rows}) > 1:
+        raise InputError("rows differ in length")
+    return np.array([[_number(x) for x in row] for row in rows], dtype=complex)
 
 
-def _vector_in(entries, where: str) -> np.ndarray:
-    import numpy as np
+def _vector_in(entries) -> np.ndarray:
+    return _matrix_in([entries])[0]
 
-    if not isinstance(entries, list) or not entries:
-        raise InputError(f"{where}: expected a list of entries")
-    return np.array([_num_in(x, where) for x in entries], dtype=complex)
+
+def _text_number(kind: type, text: str, what: str):
+    """int(text) or float(text) of a command-line value."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{what}: {text!r}") from None
 
 
 def _num_out(z) -> list:
@@ -113,49 +146,63 @@ def _formatter(values) -> Callable[[float], str]:
 
 # -- input loading ----------------------------------------------------
 
-def _read_input(token: str) -> str:
+def _read(token: str, expected_format: str, tol_overrides: tuple[str, ...]) -> tuple[dict, int, Tolerances]:
+    """The top-level object of a system or context-family file (a path,
+    or a bundled name), its checked dimension and merged tolerances."""
     path = Path(token)
+    stem = token[:-5] if token.endswith(".json") else token
     if path.exists():
         try:
-            return path.read_text()
+            text = path.read_text()
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {token}: {e}") from e
-    stem = token[:-5] if token.endswith(".json") else token
-    if stem in BUNDLED:
-        return (resources.files("sievelogic") / "data" / f"{stem}.json").read_text()
-    raise InputError(f"no such file or bundled name: {token}")
-
-
-def _parse_json(text: str, expected_format: str) -> dict:
+    elif stem in BUNDLED:
+        text = (resources.files("sievelogic") / "data" / f"{stem}.json").read_text()
+    else:
+        raise InputError(f"no such file or bundled name: {token}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int past the digit limit
         raise InputError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise InputError("top level must be an object")
-    fmt = data.get("format")
-    if fmt != expected_format:
-        raise InputError(f"format: expected {expected_format!r}, got {fmt!r}")
-    return data
+    with _at("top level"):
+        _object(data)
+    if data.get("format") != expected_format:
+        raise InputError(f"format: expected {expected_format!r}, got {data.get('format')!r}")
+    dim = data.get("dimension")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InputError("dimension: expected a positive integer")
+    return data, dim, _merge_tolerances(data, tol_overrides)
 
 
 def _merge_tolerances(data: dict, cli_overrides: tuple[str, ...]) -> Tolerances:
     from .spectral import Tolerances
 
-    file_part = data.get("tolerances", {})
-    if not isinstance(file_part, dict):
-        raise InputError("tolerances: expected an object")
-    tol = Tolerances().replace(**file_part)
+    tol = Tolerances().replace(**_section(data, "tolerances"))
     pairs = {}
     for item in cli_overrides:
         key, sep, val = item.partition("=")
         if not sep:
             raise InputError(f"--tol: expected key=value, got {item!r}")
-        try:
-            pairs[key] = float(val)
-        except ValueError:
-            raise InputError(f"--tol {key}: not a number: {val!r}") from None
+        pairs[key] = _text_number(float, val, f"--tol {key}: not a number")
     return tol.replace(**pairs) if pairs else tol
+
+
+def _section(data: dict, key: str) -> dict:
+    with _at(key):
+        return _object(data.get(key, {}))
+
+
+def _entries(noun: str, pairs, build: Callable, dim: int, dim_of: Callable = lambda v: v.dim) -> list:
+    """(name, value) for each named entry of a file section; an error
+    names the entry, and each value must have the file's dimension."""
+    out = []
+    for name, entry in pairs:
+        with _at(f"{noun} {name!r}"):
+            value = build(entry)
+            if dim_of(value) != dim:
+                raise InputError(f"dimension {dim_of(value)} != {dim}")
+        out.append((name, value))
+    return out
 
 
 @dataclass
@@ -170,51 +217,26 @@ class SystemData:
 def load_system(token: str, tol_overrides: tuple[str, ...] = ()) -> SystemData:
     from .spectral import QuantumState, decompose, from_spectral_data
 
-    data = _parse_json(_read_input(token), SYSTEM_FORMAT)
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("dimension: expected a positive integer")
-    tol = _merge_tolerances(data, tol_overrides)
+    data, dim, tol = _read(token, SYSTEM_FORMAT, tol_overrides)
     mode = Mode.parse(data["mode"]) if "mode" in data else None
 
-    operators: dict[str, SpectralOperator] = {}
-    for name, entry in (data.get("operators") or {}).items():
-        where = f"operator {name!r}"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: expected an object")
-        try:
-            if "matrix" in entry:
-                operators[name] = decompose(_matrix_in(entry["matrix"], where), tol)
-            elif "eigenvalues" in entry and "projectors" in entry:
-                projs = tuple(_matrix_in(p, where) for p in entry["projectors"])
-                operators[name] = from_spectral_data(entry["eigenvalues"], projs, tol)
-            else:
-                raise InputError("needs 'matrix' or 'eigenvalues' + 'projectors'")
-        except SieveLogicError as e:
-            raise InputError(f"{where}: {e}") from e
-        if operators[name].dim != dim:
-            raise InputError(f"{where}: dimension {operators[name].dim} != {dim}")
+    def operator(entry) -> SpectralOperator:
+        if "matrix" in _object(entry):
+            return decompose(_matrix_in(entry["matrix"]), tol)
+        if "eigenvalues" in entry and "projectors" in entry:
+            projs = [_matrix_in(p) for p in _list(entry["projectors"])]
+            return from_spectral_data(entry["eigenvalues"], projs, tol)
+        raise InputError("needs 'matrix' or 'eigenvalues' + 'projectors'")
 
-    states: dict[str, QuantumState] = {}
-    for name, entry in (data.get("states") or {}).items():
-        where = f"state {name!r}"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: expected an object")
-        try:
-            if "vector" in entry:
-                states[name] = QuantumState.vector(_vector_in(entry["vector"], where), tol)
-            elif "density" in entry:
-                states[name] = QuantumState.density(_matrix_in(entry["density"], where), tol)
-            elif "projector" in entry:
-                states[name] = QuantumState.projector(_matrix_in(entry["projector"], where), tol)
-            else:
-                raise InputError("needs 'vector', 'density' or 'projector'")
-        except SieveLogicError as e:
-            raise InputError(f"{where}: {e}") from e
-        if states[name].dim != dim:
-            raise InputError(f"{where}: dimension {states[name].dim} != {dim}")
+    def state(entry) -> QuantumState:
+        for kind, parse in (("vector", _vector_in), ("density", _matrix_in), ("projector", _matrix_in)):
+            if kind in _object(entry):
+                return getattr(QuantumState, kind)(parse(entry[kind]), tol)
+        raise InputError("needs 'vector', 'density' or 'projector'")
 
-    return SystemData(dim, mode, tol, operators, states)
+    operators = _entries("operator", _section(data, "operators").items(), operator, dim)
+    states = _entries("state", _section(data, "states").items(), state, dim)
+    return SystemData(dim, mode, tol, dict(operators), dict(states))
 
 
 def dump_system(system: SystemData) -> str:
@@ -247,43 +269,32 @@ def load_context_family(token: str, tol_overrides: tuple[str, ...] = ()) -> Fami
     from .contexts import BooleanContext, context_from_vectors
     from .ks_search import ContextFamily
 
-    data = _parse_json(_read_input(token), CONTEXTS_FORMAT)
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError("dimension: expected a positive integer")
-    tol = _merge_tolerances(data, tol_overrides)
-    vectors = {}
-    for name, entry in (data.get("vectors") or {}).items():
-        vectors[name] = _vector_in(entry, f"vector {name!r}")
-        if vectors[name].shape != (dim,):
-            raise InputError(f"vector {name!r}: expected {dim} entries")
-    raw = data.get("contexts")
-    if not isinstance(raw, list) or not raw:
-        raise InputError("contexts: expected a nonempty list")
-    contexts = []
-    names = []
-    for i, entry in enumerate(raw):
-        name = entry.get("name", f"context{i}") if isinstance(entry, dict) else None
-        where = f"context {name!r}"
-        if not isinstance(entry, dict):
-            raise InputError(f"context {i}: expected an object")
-        try:
-            if "rays" in entry:
-                missing = [r for r in entry["rays"] if r not in vectors]
-                if missing:
-                    raise InputError(f"unknown ray name {missing[0]!r}")
-                ctx = context_from_vectors([vectors[r] for r in entry["rays"]], tol)
-            elif "atoms" in entry:
-                ctx = BooleanContext([_matrix_in(a, where) for a in entry["atoms"]], tol)
-            else:
-                raise InputError("needs 'rays' or 'atoms'")
-        except SieveLogicError as e:
-            raise InputError(f"{where}: {e}") from e
-        if ctx.dim != dim:
-            raise InputError(f"{where}: dimension {ctx.dim} != {dim}")
-        contexts.append(ctx)
-        names.append(name)
-    return FamilyData(ContextFamily(contexts, tol), names)
+    data, dim, tol = _read(token, CONTEXTS_FORMAT, tol_overrides)
+    vectors = dict(_entries("vector", _section(data, "vectors").items(), _vector_in, dim, len))
+
+    def context(entry) -> BooleanContext:
+        if "rays" in entry:
+            rays = _list(entry["rays"])
+            missing = [r for r in rays if not isinstance(r, str) or r not in vectors]
+            if missing:
+                raise InputError(f"unknown ray name {missing[0]!r}")
+            return context_from_vectors([vectors[r] for r in rays], tol)
+        if "atoms" in entry:
+            return BooleanContext([_matrix_in(a) for a in _list(entry["atoms"])], tol)
+        raise InputError("needs 'rays' or 'atoms'")
+
+    with _at("contexts"):
+        raw = _list(data.get("contexts"))
+    contexts = _entries("context", [(_context_name(i, e), e) for i, e in enumerate(raw)], context, dim)
+    return FamilyData(ContextFamily([c for _, c in contexts], tol), [name for name, _ in contexts])
+
+
+def _context_name(i: int, entry) -> str:
+    with _at(f"context {i}"):
+        name = _object(entry).get("name", f"context{i}")
+        if not isinstance(name, str):
+            raise InputError(f"name: expected a string, got {name!r}")
+    return name
 
 
 def dump_context_family(fam: FamilyData) -> str:
@@ -327,24 +338,16 @@ def build_valuation(spec: str, system: SystemData, mode: Mode) -> GeneralizedVal
         name, sep, r_text = rest.rpartition(":")
         if not sep:
             raise InputError("threshold spec: expected threshold:<state>:<r>")
-        try:
-            r = float(r_text)
-        except ValueError:
-            raise InputError(f"threshold spec: not a number: {r_text!r}") from None
+        r = _text_number(float, r_text, "threshold spec: not a number")
         return GeneralizedValuation.threshold(_lookup(system.states, "state", name), r, mode, system.tol)
     if head == "partial" and rest:
         name, sep, v_text = rest.partition("=")
         if not sep:
             raise InputError("partial spec: expected partial:<operator>=<eigenvalue>")
         op = _lookup(system.operators, "operator", name)
-        try:
-            value = float(v_text)
-        except ValueError:
-            raise InputError(f"partial spec: not a number: {v_text!r}") from None
-        try:
+        value = _text_number(float, v_text, "partial spec: not a number")
+        with _at("partial spec"):
             idx = op.eigenvalue_index(value, system.tol.eps_group)
-        except SieveLogicError as e:
-            raise InputError(f"partial spec: {e}") from e
         return GeneralizedValuation.from_partial(
             PartialValuation.maximal(op, idx, system.tol), mode, system.tol
         )
@@ -371,19 +374,11 @@ def parse_proposition(
     op = _lookup(system.operators, "operator", name)
     entries = [s.strip() for s in body.split(",") if s.strip()]
     if by_index:
-        try:
-            indices = frozenset(int(s) for s in entries)
-        except ValueError:
-            raise InputError(f"proposition indices must be integers: {body!r}") from None
+        indices = frozenset(_text_number(int, s, "proposition indices must be integers") for s in entries)
         return name, Proposition(op, indices)
-    try:
-        values = [float(s) for s in entries]
-    except ValueError:
-        raise InputError(f"proposition values must be numbers: {body!r}") from None
-    try:
+    values = [_text_number(float, s, "proposition values must be numbers") for s in entries]
+    with _at("proposition"):
         return name, Proposition.by_values(op, values, system.tol.eps_group)
-    except SieveLogicError as e:
-        raise InputError(f"proposition: {e}") from e
 
 
 def _sieve_lines(sieve: Sieve, values) -> list[str]:
@@ -411,10 +406,7 @@ def parse_sieve_text(text: str, k: int, mode: Mode, close: bool = False) -> Siev
         blocks = []
         for block_text in chunk.split("|"):
             entries = [s.strip() for s in block_text.split(",") if s.strip()]
-            try:
-                blocks.append([int(s) for s in entries])
-            except ValueError:
-                raise InputError(f"bad partition {chunk!r}: indices must be integers") from None
+            blocks.append([_text_number(int, s, f"bad partition {chunk!r}: not an integer") for s in entries])
         parts.append(Partition.of(blocks))
     if close:
         return up_closure(k, mode, parts)
@@ -423,13 +415,20 @@ def parse_sieve_text(text: str, k: int, mode: Mode, close: bool = False) -> Siev
 
 # -- commands ---------------------------------------------------------
 
-def _fail(e: Exception) -> None:
-    click.echo(f"error: {e}", err=True)
-    raise SystemExit(2)
+class _Main(click.Group):
+    """The command group: any SieveLogicError a command raises is bad
+    input, printed as `error: <message>` on stderr with exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SieveLogicError as e:
+            click.echo(f"error: {e}", err=True)
+            raise SystemExit(2) from None
 
 
-@click.group()
-@click.version_option(package_name="sievelogic")
+@click.group(cls=_Main)
+@click.version_option(__version__, prog_name="sievelogic")
 def main() -> None:
     """Sieve-valued truth assignments for finite quantum systems."""
 
@@ -444,14 +443,11 @@ def main() -> None:
 @click.option("--tol", multiple=True, metavar="KEY=VAL")
 def cmd_eval(system_file, valuation, proposition, mode_flag, by_index, as_json, tol):
     """Print the sieve and classification of one proposition."""
-    try:
-        system = load_system(system_file, tol)
-        mode = _resolve_mode(mode_flag, system)
-        nu = build_valuation(valuation, system, mode)
-        name, prop = parse_proposition(proposition, system, by_index)
-        sieve = nu.evaluate(prop)
-    except SieveLogicError as e:
-        _fail(e)
+    system = load_system(system_file, tol)
+    mode = _resolve_mode(mode_flag, system)
+    nu = build_valuation(valuation, system, mode)
+    name, prop = parse_proposition(proposition, system, by_index)
+    sieve = nu.evaluate(prop)
     if as_json:
         payload = {"operator": name, "indices": sorted(prop.indices), **_sieve_json(sieve)}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
@@ -473,33 +469,30 @@ def cmd_axioms(system_file, valuation, only, mode_flag, as_json, tol):
     disjunction-strength tally for every operator."""
     from .valuations import DisjunctionStrength, check_axioms, check_disjunction_strength, check_naturality
 
-    try:
-        system = load_system(system_file, tol)
-        mode = _resolve_mode(mode_flag, system)
-        nu = build_valuation(valuation, system, mode)
-        names = [only] if only else list(system.operators)
-        reports = []
-        for name in names:
-            op = _lookup(system.operators, "operator", name)
-            rep = check_axioms(nu, op)
-            rep.title = f"{name}: {rep.title}"
-            reports.append(rep)
-            for p in all_partitions(op.k):
-                nat = check_naturality(nu, op, [float(p.block_of(i)) for i in range(op.k)])
-                nat.title = f"{name}: {nat.title} ({p})"
-                reports.append(nat)
-            equal = strict = 0
-            for d1, d2 in _disjoint_pairs(op.k):
-                outcome = check_disjunction_strength(nu, op, d1, d2)
-                if outcome is DisjunctionStrength.EQUALITY:
-                    equal += 1
-                else:
-                    strict += 1
-            reports[-1].notes.append(
-                f"{name}: disjunction strength on disjoint pairs: {equal} equalities, {strict} strict"
-            )
-    except SieveLogicError as e:
-        _fail(e)
+    system = load_system(system_file, tol)
+    mode = _resolve_mode(mode_flag, system)
+    nu = build_valuation(valuation, system, mode)
+    names = [only] if only else list(system.operators)
+    reports = []
+    for name in names:
+        op = _lookup(system.operators, "operator", name)
+        rep = check_axioms(nu, op)
+        rep.title = f"{name}: {rep.title}"
+        reports.append(rep)
+        for p in all_partitions(op.k):
+            nat = check_naturality(nu, op, [float(p.block_of(i)) for i in range(op.k)])
+            nat.title = f"{name}: {nat.title} ({p})"
+            reports.append(nat)
+        equal = strict = 0
+        for d1, d2 in _disjoint_pairs(op.k):
+            outcome = check_disjunction_strength(nu, op, d1, d2)
+            if outcome is DisjunctionStrength.EQUALITY:
+                equal += 1
+            else:
+                strict += 1
+        reports[-1].notes.append(
+            f"{name}: disjunction strength on disjoint pairs: {equal} equalities, {strict} strict"
+        )
     ok = all(r.ok for r in reports)
     if as_json:
         payload = {
@@ -537,18 +530,15 @@ def cmd_ks(context_file, show_witness, minimize, as_json, tol):
     """Search for a global 0/1 valuation over a context family."""
     from .ks_search import minimal_uncolorable_subfamily, search_dual_section
 
-    try:
-        fam = load_context_family(context_file, tol)
-        witness = search_dual_section(fam.family)
-        minimal_names = None
-        if witness is None and minimize:
-            sub = minimal_uncolorable_subfamily(fam.family)
-            kept = {id(c) for c in sub.contexts}
-            minimal_names = [
-                name for name, ctx in zip(fam.names, fam.family.contexts) if id(ctx) in kept
-            ]
-    except SieveLogicError as e:
-        _fail(e)
+    fam = load_context_family(context_file, tol)
+    witness = search_dual_section(fam.family)
+    minimal_names = None
+    if witness is None and minimize:
+        sub = minimal_uncolorable_subfamily(fam.family)
+        kept = {id(c) for c in sub.contexts}
+        minimal_names = [
+            name for name, ctx in zip(fam.names, fam.family.contexts) if id(ctx) in kept
+        ]
     colorable = witness is not None
     if as_json:
         payload = {"colorable": colorable}
@@ -580,22 +570,19 @@ def cmd_ks(context_file, show_witness, minimize, as_json, tol):
 def cmd_dot(system_file, operator_name, valuation, proposition, mode_flag, by_index, tol):
     """Emit the partition lattice of one operator as DOT, highlighting a
     sieve when a valuation and proposition are given."""
-    try:
-        system = load_system(system_file, tol)
-        mode = _resolve_mode(mode_flag, system)
-        op = _lookup(system.operators, "operator", operator_name)
-        sieve = None
-        if (valuation is None) != (proposition is None):
-            raise InputError("--valuation and --proposition go together")
-        if valuation is not None:
-            nu = build_valuation(valuation, system, mode)
-            _, prop = parse_proposition(proposition, system, by_index)
-            if prop.operator is not op:
-                raise InputError("proposition must target the drawn operator")
-            sieve = nu.evaluate(prop)
-        text = lattice_dot(op.k, mode, sieve=sieve, values=op.eigenvalues, fmt=_formatter(op.eigenvalues))
-    except SieveLogicError as e:
-        _fail(e)
+    system = load_system(system_file, tol)
+    mode = _resolve_mode(mode_flag, system)
+    op = _lookup(system.operators, "operator", operator_name)
+    sieve = None
+    if (valuation is None) != (proposition is None):
+        raise InputError("--valuation and --proposition go together")
+    if valuation is not None:
+        nu = build_valuation(valuation, system, mode)
+        _, prop = parse_proposition(proposition, system, by_index)
+        if prop.operator is not op:
+            raise InputError("proposition must target the drawn operator")
+        sieve = nu.evaluate(prop)
+    text = lattice_dot(op.k, mode, sieve=sieve, values=op.eigenvalues, fmt=_formatter(op.eigenvalues))
     click.echo(text, nl=False)
 
 
@@ -609,22 +596,12 @@ def cmd_dot(system_file, operator_name, valuation, proposition, mode_flag, by_in
 def cmd_heyting(operation, k, sieves, mode_flag, close, as_json):
     """Combine sieves given as semicolon-separated partitions, e.g.
     "0,2|1; 0,1,2" for the k=3 sieve with two members."""
-    try:
-        mode = Mode.parse(mode_flag)
-        need = 1 if operation == "neg" else 2
-        if len(sieves) != need:
-            raise InputError(f"{operation} takes exactly {need} sieve argument(s)")
-        parsed = [parse_sieve_text(s, k, mode, close) for s in sieves]
-        if operation == "neg":
-            result = parsed[0].neg()
-        elif operation == "meet":
-            result = parsed[0].meet(parsed[1])
-        elif operation == "join":
-            result = parsed[0].join(parsed[1])
-        else:
-            result = parsed[0].implies(parsed[1])
-    except SieveLogicError as e:
-        _fail(e)
+    mode = Mode.parse(mode_flag)
+    need = 1 if operation == "neg" else 2
+    if len(sieves) != need:
+        raise InputError(f"{operation} takes exactly {need} sieve argument(s)")
+    first, *rest = (parse_sieve_text(s, k, mode, close) for s in sieves)
+    result = getattr(first, operation)(*rest)
     if as_json:
         click.echo(json.dumps(_sieve_json(result), indent=2, sort_keys=True))
     else:

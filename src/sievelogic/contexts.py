@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _image, _lattice, _mask_of, mass_sieve, subset_masses
+from .sieves import Mode, Partition, Sieve, _bits, _check_order, _image, _lattice, _mask_of, mass_sieve, subset_masses
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -38,7 +38,6 @@ from .spectral import (
     _subset_sum,
     as_matrix,
 )
-from .valuations import _check_order
 
 Element = frozenset[int]
 ThetaMap = Union[
@@ -165,8 +164,10 @@ class SubalgebraPoset:
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
 
 
+@lru_cache(maxsize=None)
 def _node_elements(w: Partition) -> tuple[Element, ...]:
-    """The unions of w's blocks, ordered by size, then by sorted indices."""
+    """The unions of w's blocks, ordered by size, then by sorted indices;
+    sorted once per partition."""
     out = (frozenset(i for b in combo for i in b)
            for n in range(w.n_blocks + 1) for combo in itertools.combinations(w.blocks, n))
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))

@@ -27,14 +27,18 @@ suitable families is the contextuality obstruction; an 18-ray,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .contexts import BooleanContext
 from .errors import InputError, StillColorableError
 from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances
-from .valuations import PartialValuation
+
+# valuations is imported only where a witness becomes a PartialValuation:
+# the search itself never evaluates one, so `ks` does not load it
+if TYPE_CHECKING:
+    from .valuations import PartialValuation
 
 # Per context, one (ones, zeros) pair of class masks per atom.
 AtomMasks = tuple[tuple[int, int], ...]
@@ -305,6 +309,8 @@ def section_to_partial_valuation(
     contributes one observable (eigenvalue i on atom i) assigned the
     eigenvalue of the chosen atom.  Construction revalidates consistency
     from scratch."""
+    from .valuations import PartialValuation
+
     if not w.verify(fam):
         raise InputError("witness does not fit the family")
     assignments = []

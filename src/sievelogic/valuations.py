@@ -36,6 +36,7 @@ from .sieves import (
     Partition,
     Sieve,
     _bits,
+    _check_order,
     _lattice,
     _mask_of,
     _pullback_mask,
@@ -250,24 +251,6 @@ def check_functional_rule(
         lambda: f"coarsened sieve differs from pullback for map {cg.labels} on subset {list(_bits(s))}",
     )
     return report.finish()
-
-
-def _check_order(report: Report, elements: Sequence[int], sieves: Sequence[int], true: Sequence[bool], pairs) -> None:
-    """Monotonicity and exclusivity, for both sides' valuation axioms, of a
-    map from elements (subset masks) to sieve masks on the index pairs
-    (x, y) given: x within y needs sieve x within sieve y, and x disjoint
-    from y with x true needs y not true."""
-    pairs = list(pairs)
-    nested = [(x, y) for x, y in pairs if not elements[x] & ~elements[y]]
-    report.tally(len(nested), (
-        f"monotonicity fails for {list(_bits(elements[x]))} within {list(_bits(elements[y]))}"
-        for x, y in nested if sieves[x] & ~sieves[y]
-    ))
-    exclusive = [(x, y) for x, y in pairs if true[x] and not elements[x] & elements[y]]
-    report.tally(len(exclusive), (
-        f"exclusivity fails for disjoint {list(_bits(elements[x]))} / {list(_bits(elements[y]))}"
-        for x, y in exclusive if true[y]
-    ))
 
 
 def check_axioms(nu: GeneralizedValuation, a: SpectralOperator) -> Report:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sievelogic
 from sievelogic.cli import (
     dump_context_family,
     dump_system,
@@ -439,6 +440,79 @@ class TestHeyting:
     def test_non_up_closed_without_close_exits_2(self, runner):
         res = run(runner, "heyting", "neg", "3", "0|1|2", "--mode", "o")
         assert res.exit_code == 2
+
+
+def _set(path, value):
+    """A mutation of a loaded JSON document: set the value at a key path."""
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _with_vectors(path, value):
+    """Give a family file a vector table, then set a value."""
+    def mutate(doc):
+        doc["vectors"] = {"b": [1.0, 0.0, 0.0, 0.0]}
+        _set(path, value)(doc)
+    return mutate
+
+
+SYSTEM = ("spin_half", "eval", "-v", "state:psi", "-p", "Sz in {0.5}")
+FAMILY = ("ks18_dim4", "ks")
+
+# (source, mutation, extra flags, stderr fragment): each malformed file
+# shape exits 2 with one located message instead of a traceback.
+MALFORMED = {
+    "rays-not-a-list": (FAMILY, _with_vectors(["contexts", 0, "rays"], 5), (),
+                        "context 'c1': expected a nonempty list"),
+    "atoms-not-a-list": (FAMILY, _set(["contexts", 0, "atoms"], 5), (),
+                         "context 'c1': expected a nonempty list"),
+    "operators-a-list": (SYSTEM, _set(["operators"], [1]), (), "operators: expected an object"),
+    "vectors-a-list": (FAMILY, _set(["vectors"], [1]), (), "vectors: expected an object"),
+    "projectors-not-a-list": (SYSTEM, _set(["operators", "Sz", "projectors"], 5), (),
+                              "operator 'Sz': expected a nonempty list"),
+    "matrix-not-a-list": (SYSTEM, _set(["operators", "Sz"], {"matrix": 1}), (),
+                          "operator 'Sz': expected a nonempty list"),
+    "ragged-matrix": (SYSTEM, _set(["operators", "Sz"], {"matrix": [[1, 0], [0]]}), (),
+                      "operator 'Sz': rows differ in length"),
+    "ragged-density": (SYSTEM, _set(["states", "psi"], {"density": [[1, 0], [0]]}), (),
+                       "state 'psi': rows differ in length"),
+    "ragged-atoms": (FAMILY, _set(["contexts", 0, "atoms", 0], [[1, 0, 0, 0], [0]]), (),
+                     "context 'c1': rows differ in length"),
+    "unhashable-ray": (FAMILY, _with_vectors(["contexts", 0, "rays"], [["a"], "b"]), (),
+                       "context 'c1': unknown ray name ['a']"),
+    "name-not-a-string": (FAMILY, _set(["contexts", 0, "name"], 5), ("--witness", "--json"),
+                          "context 0: name: expected a string, got 5"),
+    "dimension-true": (SYSTEM, _set(["dimension"], True), (), "dimension: expected a positive integer"),
+    "bool-matrix-entry": (SYSTEM, _set(["operators", "Sz"], {"matrix": [[True, 0], [0, -1]]}), (),
+                          "operator 'Sz': expected a number or [re, im] pair, got True"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("source, mutate, flags, fragment", MALFORMED.values(), ids=MALFORMED)
+    def test_exits_2_with_one_located_error(self, runner, tmp_path, source, mutate, flags, fragment):
+        name, command, *args = source
+        dump = dump_system(load_system(name)) if command != "ks" else dump_context_family(load_context_family(name))
+        doc = json.loads(dump)
+        mutate(doc)
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        res = run(runner, command, str(f), *args, *flags)
+        assert res.exit_code == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert fragment in lines[0]
+        location = lines[0].removeprefix("error: ").split(": ")[0]
+        assert lines[0].count(location) == 1
+
+    def test_version_runs_from_source(self, runner):
+        res = run(runner, "--version")
+        assert res.exit_code == 0
+        assert sievelogic.__version__ in res.output
 
 
 class TestRoundTrips:

@@ -103,27 +103,30 @@ def test_import_cli_loads_only_errors_and_sieves(tmp_path):
     assert loaded == {"sievelogic", "cli", "errors", "sieves"}
 
 
+LINEAR = {"numpy", "spectral", "valuations"}
+
+
 @pytest.mark.parametrize(
-    "argv, code, absent",
+    "argv, code, present, absent",
     [
-        (["heyting", "neg", "3", "0,2|1", "--mode", "ostar", "--close"], 0,
+        (["heyting", "neg", "3", "0,2|1", "--mode", "ostar", "--close"], 0, set(),
          {"numpy", "spectral", "valuations", "contexts", "ks_search", "categories"}),
-        (["eval", "spin_one", "-v", "state:psi", "-p", "Sx in {1}"], 0,
+        (["eval", "spin_one", "-v", "state:psi", "-p", "Sx in {1}"], 0, LINEAR,
          {"contexts", "ks_search", "categories"}),
-        (["dot", "spin_one", "Sx", "-v", "state:psi", "-p", "Sx in {1}"], 0,
+        (["dot", "spin_one", "Sx", "-v", "state:psi", "-p", "Sx in {1}"], 0, LINEAR,
          {"contexts", "ks_search", "categories"}),
-        (["axioms", "spin_one", "-v", "state:psi"], 0,
+        (["axioms", "spin_one", "-v", "state:psi"], 0, LINEAR,
          {"contexts", "ks_search", "categories"}),
-        (["ks", "ks18_dim4", "--minimize"], 3, {"categories"}),
+        (["ks", "ks18_dim4", "--minimize"], 3, {"numpy", "spectral", "contexts", "ks_search"},
+         {"valuations", "categories"}),
     ],
     ids=["heyting", "eval", "dot", "axioms", "ks"],
 )
-def test_command_loads_only_its_layers(argv, code, absent, tmp_path):
+def test_command_loads_only_its_layers(argv, code, present, absent, tmp_path):
     got, loaded = probe(RUN_COMMAND.format(argv=argv), tmp_path)
     assert got == code
+    assert present <= loaded
     assert not loaded & absent
-    if argv[0] != "heyting":
-        assert {"numpy", "spectral", "valuations"} <= loaded
 
 
 def test_all_is_pinned():

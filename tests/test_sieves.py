@@ -57,6 +57,8 @@ class TestPartition:
             Partition.of([[0], [0, 1]])
         with pytest.raises(InputError):
             Partition.of([])
+        with pytest.raises(InputError, match="empty block in partition"):
+            Partition.of([[0], [], [1, 2]])
 
     def test_block_of(self):
         p = Partition.of([[0, 2], [1]])
