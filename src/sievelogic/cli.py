@@ -20,8 +20,9 @@ when no file of that name exists.  Output is deterministic for fixed
 input and flags.  Exit codes: 0 success/colorable, 1 axiom violation,
 2 bad input (an unreadable or non-UTF-8 file included), 3 uncolorable.
 A file value of the wrong JSON type (a non-object section, a non-list,
-a ragged matrix, a bool as the dimension or as a matrix or vector entry,
-a non-string context name) is bad input; its message names its location.
+a ragged matrix, a bool as the dimension, as an eigenvalue or as a matrix
+or vector entry, a non-string or repeated context name) is bad input; its
+message names its location.
 """
 from __future__ import annotations
 
@@ -80,14 +81,31 @@ def _list(x) -> list:
     return x
 
 
+def _is_real(t) -> bool:
+    """Whether a JSON value is a number; a bool is not one, though
+    Python counts it as an int."""
+    return isinstance(t, (int, float)) and not isinstance(t, bool)
+
+
 def _number(x) -> complex:
     pair = x if isinstance(x, list) and len(x) == 2 else [x, 0]
     try:
-        if all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in pair):
+        if all(_is_real(t) for t in pair):
             return complex(*pair)
     except OverflowError:  # an int beyond the float range
         pass
     raise InputError(f"expected a number or [re, im] pair, got {x!r}")
+
+
+def _reals(x, what: str) -> list:
+    """A list of JSON numbers; the spectral layer checks that each is
+    finite and names a bad one the same way."""
+    if not isinstance(x, list):
+        raise InputError(f"expected a sequence of {what}s, got {x!r}")
+    for i, t in enumerate(x):
+        if not _is_real(t):
+            raise InputError(f"{what} {t!r} at index {i} is not a finite real")
+    return x
 
 
 def _matrix_in(rows) -> np.ndarray:
@@ -225,7 +243,7 @@ def load_system(token: str, tol_overrides: tuple[str, ...] = ()) -> SystemData:
             return decompose(_matrix_in(entry["matrix"]), tol)
         if "eigenvalues" in entry and "projectors" in entry:
             projs = [_matrix_in(p) for p in _list(entry["projectors"])]
-            return from_spectral_data(entry["eigenvalues"], projs, tol)
+            return from_spectral_data(_reals(entry["eigenvalues"], "eigenvalue"), projs, tol)
         raise InputError("needs 'matrix' or 'eigenvalues' + 'projectors'")
 
     def state(entry) -> QuantumState:
@@ -285,15 +303,22 @@ def load_context_family(token: str, tol_overrides: tuple[str, ...] = ()) -> Fami
 
     with _at("contexts"):
         raw = _list(data.get("contexts"))
-    contexts = _entries("context", [(_context_name(i, e), e) for i, e in enumerate(raw)], context, dim)
-    return FamilyData(ContextFamily([c for _, c in contexts], tol), [name for name, _ in contexts])
+    names: list[str] = []
+    for i, entry in enumerate(raw):
+        names.append(_context_name(i, entry, names))
+    contexts = _entries("context", zip(names, raw), context, dim)
+    return FamilyData(ContextFamily([c for _, c in contexts], tol), names)
 
 
-def _context_name(i: int, entry) -> str:
+def _context_name(i: int, entry, earlier: list[str]) -> str:
+    """The name of context i, distinct from the names before it: the
+    text output and the JSON witness are keyed by name."""
     with _at(f"context {i}"):
         name = _object(entry).get("name", f"context{i}")
         if not isinstance(name, str):
             raise InputError(f"name: expected a string, got {name!r}")
+        if name in earlier:
+            raise InputError(f"name {name!r} repeats that of context {earlier.index(name)}")
     return name
 
 

@@ -481,21 +481,23 @@ class Sieve:
 
 
 @lru_cache(maxsize=None)
-def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[tuple[int, int], ...]:
-    """One (base bit, codomain bit) pair per admissible partition of the
-    codomain of a coarse-graining with this index map; the base bit is
-    that of the composite partition."""
+def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
+    """A gather index for pullbacks along a coarse-graining with this
+    index map: entry j is the base bit of the composite of the codomain's
+    admissible partition j, so codomain bit j of a pullback is that base
+    bit of the sieve."""
     base = _lattice(len(to), mode).index
-    return tuple(
-        (1 << base[_composite(to, p)], 1 << j)
-        for j, p in enumerate(_lattice(max(to) + 1, mode).parts)
-    )
+    return tuple(base[_composite(to, p)] for p in _lattice(max(to) + 1, mode).parts)
 
 
 def _pullback_mask(mask: int, to: tuple[int, ...], mode: Mode) -> int:
     """The pullback of a sieve mask along a coarse-graining with index
     map `to`: the codomain bits whose composite partition is in `mask`."""
-    return sum(bit for base_bit, bit in _pullback_table(to, mode) if mask & base_bit)
+    out = 0
+    for j, i in enumerate(_pullback_table(to, mode)):
+        if mask >> i & 1:
+            out |= 1 << j
+    return out
 
 
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:

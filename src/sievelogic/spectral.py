@@ -332,12 +332,13 @@ def _coarse_operator(a: SpectralOperator, fibers: Partition, labels) -> Spectral
     return SpectralOperator._of_checked(eigenvalues, projectors)
 
 
-def _linked(a: SpectralOperator, q: np.ndarray, tol: Tolerances) -> list[int]:
-    """Eigenvalue indices i of a whose projector overlaps the projector
-    q: max_abs(P_i q) > tau_proj.  Since the P_i q sum to q, one of them
-    is nonzero; under a tau_proj that loose the largest is taken."""
-    overlaps = [max_abs(p @ q) for p in a.projectors]
-    return [i for i, x in enumerate(overlaps) if x > tol.tau_proj] or [int(np.argmax(overlaps))]
+def _linked(stack: np.ndarray, q: np.ndarray, tol: Tolerances) -> list[int]:
+    """Indices i into a stack of an operator's projectors whose
+    projector overlaps the projector q: max_abs(P_i q) > tau_proj, from
+    one batched product.  Since the P_i q sum to q, one of them is
+    nonzero; under a tau_proj that loose the largest is taken."""
+    overlaps = _stack_max_abs(stack @ q)
+    return np.flatnonzero(overlaps > tol.tau_proj).tolist() or [int(np.argmax(overlaps))]
 
 
 def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Partition:
@@ -353,9 +354,10 @@ def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances 
     """
     if a.dim != c.dim:
         raise InputError("operators act on different dimensions")
+    stack = np.stack(a.projectors)  # memory k d^2: one row of overlaps at a time
     components: list[tuple[set[int], set[int]]] = []  # (a-indices, c-indices)
     for j, q in enumerate(c.projectors):
-        ia, jc = set(_linked(a, q, tol)), {j}
+        ia, jc = set(_linked(stack, q, tol)), {j}
         for ga, gc in [g for g in components if g[0] & ia]:
             ia, jc = ia | ga, jc | gc
         components = [g for g in components if not g[0] & ia] + [(ia, jc)]
@@ -375,7 +377,8 @@ def is_function_of(
     """
     if common_coarsening(a, m, tol).n_blocks != a.k:
         return None
-    return {j: a.eigenvalues[_linked(a, q, tol)[0]] for j, q in enumerate(m.projectors)}
+    stack = np.stack(a.projectors)
+    return {j: a.eigenvalues[_linked(stack, q, tol)[0]] for j, q in enumerate(m.projectors)}
 
 
 def coarse_grained_projector(

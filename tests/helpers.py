@@ -185,6 +185,24 @@ def brute_pullback(s: frozenset, mode: Mode, base_values) -> frozenset[Partition
     return frozenset(out)
 
 
+def brute_naturality_failures(nu, a: SpectralOperator, values) -> list[int]:
+    """The subset bitmasks s of a's spectrum whose naturality square
+    fails along the value map `values` (one value per eigenvalue index,
+    no two within eps_group unless equal), on frozenset sieves: the
+    sieve of "f(a) in f(s)", with f(a) built afresh, against
+    `brute_pullback` of the sieve of "a in s"."""
+    b = apply_function(a, values)
+    codomain = sorted(set(values))
+    failed = []
+    for s in range(1 << a.k):
+        delta = frozenset(i for i in range(a.k) if s >> i & 1)
+        image = frozenset(codomain.index(values[i]) for i in delta)
+        coarse = nu.evaluate(Proposition(b, image)).partitions
+        if coarse != brute_pullback(nu.evaluate(Proposition(a, delta)).partitions, nu.mode, values):
+            failed.append(s)
+    return failed
+
+
 def brute_mass_sieve(k: int, mode: Mode, weights, delta, cutoff: float) -> frozenset[Partition]:
     """Partitions whose blocks meeting delta carry weight >= cutoff."""
     delta = frozenset(delta)
@@ -417,6 +435,44 @@ def reconstructed_function_of(a: SpectralOperator, m: SpectralOperator, tau_rec:
         values[j] = float(np.trace(q @ a.matrix).real) / rank
         recon = recon + values[j] * q
     return values if np.abs(recon - a.matrix).max() <= tau_rec else None
+
+
+def pairwise_linked(a: SpectralOperator, q: np.ndarray, tau_proj: float) -> list[int]:
+    """The eigenvalue indices of a linked to the projector q, one
+    product per pair: those with max_abs(P_i q) > tau_proj, else the
+    index of the largest overlap."""
+    overlaps = [float(np.abs(p @ q).max()) for p in a.projectors]
+    return [i for i, x in enumerate(overlaps) if x > tau_proj] or [int(np.argmax(overlaps))]
+
+
+def pairwise_common_coarsening(a: SpectralOperator, c: SpectralOperator, tol) -> Partition:
+    """The common coarsening of a by c from pairwise overlaps: a's and
+    c's indices are the nodes of a graph whose edges join each c index to
+    its `pairwise_linked` a indices; a component with c indices whose two
+    projector sums agree within tau_proj is a block, and the a indices of
+    the other components form one more block."""
+    edges = {("c", j): {("a", i) for i in pairwise_linked(a, q, tol.tau_proj)} for j, q in enumerate(c.projectors)}
+    for cj, linked in list(edges.items()):
+        for node in linked:
+            edges.setdefault(node, set()).add(cj)
+    seen, blocks, rest = set(), [], set()
+    for start in [("a", i) for i in range(a.k)]:
+        if start in seen:
+            continue
+        component, todo = set(), [start]
+        while todo:
+            node = todo.pop()
+            if node not in component:
+                component.add(node)
+                todo.extend(edges.get(node, ()))
+        seen |= component
+        ia = sorted(i for side, i in component if side == "a")
+        jc = sorted(j for side, j in component if side == "c")
+        if jc and np.abs(a.projector(ia) - c.projector(jc)).max() <= tol.tau_proj:
+            blocks.append(ia)
+        else:
+            rest |= set(ia)
+    return Partition.of(blocks + [rest] if rest else blocks)
 
 
 def _common_value(b: SpectralOperator, members, tol):

@@ -489,6 +489,10 @@ MALFORMED = {
     "dimension-true": (SYSTEM, _set(["dimension"], True), (), "dimension: expected a positive integer"),
     "bool-matrix-entry": (SYSTEM, _set(["operators", "Sz"], {"matrix": [[True, 0], [0, -1]]}), (),
                           "operator 'Sz': expected a number or [re, im] pair, got True"),
+    "bool-eigenvalue": (SYSTEM, _set(["operators", "Sz", "eigenvalues"], [True, 2]), (),
+                        "operator 'Sz': eigenvalue True at index 0 is not a finite real"),
+    "repeated-context-name": (FAMILY, _set(["contexts", 1, "name"], "c1"), ("--witness", "--json"),
+                              "context 1: name 'c1' repeats that of context 0"),
 }
 
 

@@ -28,7 +28,15 @@ from sievelogic import (
 )
 from sievelogic import spectral
 from sievelogic.spectral import _check_resolution, max_abs, projector_leq
-from helpers import infimum_oracle, rand_operator, rand_projector_matrix, rand_unitary
+from helpers import (
+    infimum_oracle,
+    pairwise_common_coarsening,
+    pairwise_linked,
+    rand_operator,
+    rand_projector_matrix,
+    rand_related_operator,
+    rand_unitary,
+)
 
 
 _E0 = np.diag([1.0, 0.0])
@@ -351,6 +359,35 @@ class TestIsFunctionOf:
             assert g is not None
             for i in range(k):
                 assert abs(g[i] - f[i]) < 1e-9
+
+
+class TestBatchedOverlapsSecondRoute:
+    """`_linked` overlaps a projector with an operator's whole stack of
+    projectors in one batched product, and `common_coarsening` stacks
+    once per call; one product per pair gives the same links and the
+    same partition."""
+
+    # at tau_proj = 2 no overlap of two projectors exceeds it, so every
+    # projector is linked through the argmax fallback
+    @pytest.mark.parametrize("tau_proj", [1e-9, 0.3, 2.0])
+    def test_batched_equals_pairwise(self, tau_proj):
+        tol = Tolerances(tau_proj=tau_proj)
+        rng = np.random.default_rng([17, round(tau_proj * 10)])
+        linked = fallbacks = 0
+        for _ in range(25):
+            dim = int(rng.integers(2, 7))
+            u = rand_unitary(rng, dim)
+            a, group = rand_related_operator(rng, u, 5)
+            c, _ = rand_related_operator(rng, u, dim, group)
+            for x, y in ((a, c), (c, a)):
+                stack = np.stack(x.projectors)
+                for q in y.projectors:
+                    assert spectral._linked(stack, q, tol) == pairwise_linked(x, q, tau_proj)
+                    linked += 1
+                    fallbacks += all(max_abs(p @ q) <= tau_proj for p in x.projectors)
+                assert common_coarsening(x, y, tol) == pairwise_common_coarsening(x, y, tol)
+        if tau_proj > 1:
+            assert fallbacks == linked
 
 
 class TestCoarseGrainedProjector:

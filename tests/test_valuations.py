@@ -21,6 +21,7 @@ from sievelogic import (
     SubalgebraPoset,
     Tolerances,
     admissible_partitions,
+    all_partitions,
     apply_function,
     canonical_graining,
     check_axioms,
@@ -42,8 +43,10 @@ from helpers import (
     brute_consistent,
     brute_induced_sieve,
     brute_mass_sieve,
+    brute_naturality_failures,
     brute_partial_blocks,
     brute_partial_sieve,
+    brute_up_set,
     rand_density_state,
     rand_operator,
     rand_related_operator,
@@ -740,6 +743,76 @@ class TestNaturality:
             psi = rand_vector_state(rng, dim)
             mode = Mode.WITH_CONSTANTS if rng.random() < 0.5 else Mode.WITHOUT_CONSTANTS
             assert check_naturality(GeneralizedValuation.from_state(psi, mode), a, f).ok
+
+
+class _Scrambled(GeneralizedValuation):
+    """Broken on purpose: per (spectrum size, subset), a seeded choice
+    between the valuation's own sieve and the up-closure of random
+    partitions, so that squares fail on some subsets and hold on
+    others."""
+
+    def __init__(self, seed, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seed = seed
+
+    def sieve_mask(self, a, s):
+        rng = np.random.default_rng([self.seed, a.k, s])
+        if rng.random() < 0.5:
+            return super().sieve_mask(a, s)
+        seed = [p for p in sorted(admissible_partitions(a.k, self.mode)) if rng.random() < 0.3]
+        return Sieve(a.k, self.mode, brute_up_set(a.k, self.mode, seed)).mask
+
+
+class TestNaturalitySecondRoute:
+    """The failing squares of `check_naturality`, decided on whole rows
+    of bits, against frozenset sieves and `brute_pullback` per subset;
+    `check_functional_rule` agrees subset by subset."""
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_failures_match_definition(self, k, mode):
+        from sievelogic.spectral import value_fibers
+
+        def members(s):
+            return [i for i in range(k) if s >> i & 1]
+
+        rng = np.random.default_rng([k, mode is Mode.WITH_CONSTANTS, 71])
+        a = rand_operator(rng, k + 1, k)
+        state = _supported_state(rng, a, "vector")
+        partial = PartialValuation.maximal(a, int(rng.integers(k)))
+        seen = set()
+        for seed in range(2):
+            for nu in (_Scrambled(seed, "state", mode, state=state), _Scrambled(seed, "partial", mode, partial=partial)):
+                for p in all_partitions(k):
+                    values = [float(rng.permutation(p.n_blocks)[p.block_of(i)]) for i in range(k)]
+                    want = brute_naturality_failures(nu, a, values)
+                    labels = value_fibers(a, values)[1]
+                    report = check_naturality(nu, a, values)
+                    assert report.checks == (1 << k) + k
+                    assert report.violations == sorted(
+                        [f"proposition square fails on subset {members(s)} for map {labels}" for s in want]
+                        + [f"pointwise square fails on eigenvalue index {i} for map {labels}" for i in range(k) if 1 << i in want]
+                    )
+                    for s in range(1 << k):
+                        assert check_functional_rule(nu, a, values, members(s)).ok == (s not in want)
+                    seen.update(s in want for s in range(1 << k))
+        if k > 2:  # below, lattices of one or two partitions may pass everywhere
+            assert seen == {False, True}
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    def test_every_partition_past_64_bits(self, mode):
+        """At k=6 a row of sieve masks spans Bell(6) = 203 bits, several
+        machine words once packed into bytes."""
+        k = 6
+        rng = np.random.default_rng([k, mode is Mode.WITH_CONSTANTS, 73])
+        a = rand_operator(rng, k + 1, k)
+        for nu in (
+            GeneralizedValuation.from_state(_supported_state(rng, a, "vector"), mode),
+            GeneralizedValuation.from_partial(PartialValuation.maximal(a, int(rng.integers(k))), mode),
+        ):
+            for p in all_partitions(k):
+                report = check_naturality(nu, a, [float(p.block_of(i)) for i in range(k)])
+                assert report.ok and report.checks == (1 << k) + k
 
 
 class TestModeDiscipline:
