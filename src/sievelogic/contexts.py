@@ -15,20 +15,21 @@ coarse-graining has probability one.
 The poset is the interned partition lattice of `sieves`: a node is a bit
 index, its down set is its up-set mask, and a truth value is a mask
 inside that down set.  The audits run on subset bitmasks (bit j = top
-atom j), reading one image table per node and one mass table per state;
-the local valuation axioms share their routine with `valuations`.
+atom j), reading the image table and the `mass_rows` kernel of `sieves`
+(one row of sieve masks per state and cutoff); the local valuation
+axioms share their routine with `valuations`.
 """
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _check_order, _image, _lattice, _mask_of, mass_sieve, subset_masses
+from .sieves import Mode, Partition, Sieve, _bits, _check_order, _image, _images, _lattice, _mask_of, _row_masks, mass_rows
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -108,14 +109,15 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_lattice", "_states")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_weights", "_rows")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
         self.mode = mode
         self._lattice = _lattice(top.n_atoms, mode)
         self.nodes = self._lattice.parts
-        self._states = {}
+        self._weights = {}
+        self._rows = {}
 
     def _require(self, w: Partition) -> int:
         i = self._lattice.index.get(w)
@@ -143,17 +145,18 @@ class SubalgebraPoset:
         return _element_mask(w, alpha) is not None
 
     def weights(self, rho: QuantumState) -> tuple[float, ...]:
-        """The state's probability of each top atom."""
-        return self._state(rho)[0]
+        """The state's probability of each top atom, computed once per
+        state and kept for the life of the poset."""
+        if rho not in self._weights:
+            self._weights[rho] = rho.weights(self.top.atoms)
+        return self._weights[rho]
 
-    def _state(self, rho: QuantumState) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The state's atom weights and their `subset_masses` table,
-        computed once per state and kept for the life of the poset."""
-        hit = self._states.get(rho)
-        if hit is None:
-            weights = rho.weights(self.top.atoms)
-            hit = self._states[rho] = (weights, tuple(subset_masses(weights)))
-        return hit
+    def _row(self, rho: QuantumState, cutoff: float) -> tuple[int, ...]:
+        """The sieve mask of every subset bitmask under the state's atom
+        weights, one `mass_rows` per (state, cutoff), kept like the weights."""
+        if (rho, cutoff) not in self._rows:
+            self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, self.weights(rho), cutoff))
+        return self._rows[rho, cutoff]
 
     def node_context(self, w: Partition) -> BooleanContext:
         """The node as a standalone context with block-sum atoms."""
@@ -187,11 +190,10 @@ def _element_mask(w: Partition, alpha: Iterable[int]) -> Optional[int]:
 def _node_tables(n: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Per node of the n-atom poset, in lattice order: the image of each
     of the 2^n subset bitmasks (the union of the node's blocks that meet
-    it), and the node's element masks in `SubalgebraPoset.elements`
-    order.  Only the audits build these tables."""
-    parts = _lattice(n, mode).parts
-    images = tuple(tuple(_image(w, s) for s in range(1 << n)) for w in parts)
-    return images, tuple(tuple(_mask_of(e, n, "atom") for e in _node_elements(w)) for w in parts)
+    it: the node's column of `_images`), and the node's element masks in
+    `SubalgebraPoset.elements` order.  Only the audits build these tables."""
+    images = tuple(map(tuple, _images(n, mode).T.tolist()))
+    return images, tuple(tuple(_mask_of(e, n, "atom") for e in _node_elements(w)) for w in _lattice(n, mode).parts)
 
 
 def canonical_coarsening(
@@ -206,13 +208,24 @@ def canonical_coarsening(
     return frozenset(_bits(_image(w2, _mask_of(alpha, w1.k, "atom"))))
 
 
+class _Asked(dict):
+    """A user map's image masks at one node pair, each asked on first lookup."""
+
+    def __init__(self, ask):
+        self.ask = ask
+
+    def __missing__(self, a):
+        self[a] = image = self.ask(a)
+        return image
+
+
 def _theta_masks(poset: SubalgebraPoset, theta: Optional[ThetaMap], images: Sequence[Sequence[int]]):
-    """The map as a function of (node index, node index, element mask)
-    giving the image mask.  The canonical map is a read of the image
-    tables; a user map is asked with frozensets, and its answer is
-    turned into a mask."""
+    """The map as one lookup per node pair: th(i1, i2)[a] is the image
+    mask at node i2 of the element mask a of node i1.  The canonical map
+    is node i2's image table; a user map is asked with frozensets, and
+    its answer is turned into a mask."""
     if theta is None:
-        return lambda i1, i2, a: images[i2][a]
+        return lambda i1, i2: images[i2]
     nodes = poset.nodes
 
     def ask(i1, i2, a):
@@ -231,7 +244,7 @@ def _theta_masks(poset: SubalgebraPoset, theta: Optional[ThetaMap], images: Sequ
                 f"theta({sorted(alpha)}) from {w1} to {w2} is not a set of atom indices: {image!r}"
             ) from None
 
-    return ask
+    return lambda i1, i2: _Asked(partial(ask, i1, i2))
 
 
 def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = None) -> Report:
@@ -246,7 +259,7 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
         els = elements[i1]
         nested = [(x, y) for x, y in itertools.combinations(range(len(els)), 2) if not els[x] & ~els[y]]
         # the map's image of each element of w1, per subalgebra w2
-        rows = {i2: [th(i1, i2, a) for a in els] for i2 in _bits(up[i1])}
+        rows = {i2: list(map(th(i1, i2).__getitem__, els)) for i2 in _bits(up[i1])}
         for i2, row in rows.items():
             w2, image = nodes[i2], images[i2]
             report.tally(len(els), (
@@ -262,9 +275,10 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
                 for x, y in nested if row[x] & ~row[y]
             ))
             for i3 in _bits(up[i2]):
+                composed = th(i2, i3)
                 report.tally(len(els), (
                     f"composition fails on {list(_bits(a))} along {w1} -> {w2} -> {nodes[i3]}"
-                    for a, t, direct in zip(els, row, rows[i3]) if direct != th(i2, i3, t)
+                    for a, t, direct in zip(els, row, rows[i3]) if direct != composed[t]
                 ))
     return report.finish()
 
@@ -372,8 +386,7 @@ def valuation_sieve(
     a = _element_mask(w, alpha)
     if a is None:
         raise InputError(f"{sorted(alpha)} is not an element of {w}")
-    mask = mass_sieve(poset.top.n_atoms, poset.mode, a, poset._state(rho)[1], 1.0 - tol.tau_one)
-    return SubalgebraSieve._at(poset, i, mask & poset._lattice.up[i])
+    return SubalgebraSieve._at(poset, i, poset._row(rho, 1.0 - tol.tau_one)[a] & poset._lattice.up[i])
 
 
 def check_local_valuation(
@@ -413,11 +426,8 @@ def check_restriction_compatibility(
     """For every inclusion w2 within w1 and every element of w1, the
     truth value at w2 of the coarse-grained element must equal the
     restriction of the truth value at w1."""
-    n = poset.top.n_atoms
-    images, elements = _node_tables(n, poset.mode)
-    masses = poset._state(rho)[1]
-    cutoff = 1.0 - tol.tau_one
-    sieves = [mass_sieve(n, poset.mode, s, masses, cutoff) for s in range(1 << n)]
+    images, elements = _node_tables(poset.top.n_atoms, poset.mode)
+    sieves = poset._row(rho, 1.0 - tol.tau_one)
     nodes, up = poset.nodes, poset._lattice.up
     report = Report("restriction compatibility")
     for i1, w1 in enumerate(nodes):

@@ -9,7 +9,10 @@ which serves as the truth-value object of the valuation modules.
 
 A sieve is stored as an integer bitmask over the admissible partitions
 of its (k, mode), which are interned once in sorted order together with
-the up-set mask of each; lattice operations are bit operations.
+the up-set mask of each; lattice operations are bit operations.  The
+valuations' sieves come from one kernel, `mass_rows`: the sieves of all
+2^k subsets as a bool matrix, gathered from a subset-mass table through
+one image table per (k, mode).  Only these import numpy, when called.
 
 Two regimes are supported and must always be chosen explicitly:
 WITH_CONSTANTS admits the one-block partition (constant functions count
@@ -468,7 +471,8 @@ class Sieve:
         with f belongs here."""
         if f.partition.k != self.k:
             raise BaseMismatchError("coarse-graining not based at this sieve's base")
-        return Sieve._of_mask(f.codomain_size, self.mode, _pullback_mask(self.mask, f.to, self.mode))
+        mask = sum(1 << j for j, i in enumerate(_pullback_table(f.to, self.mode)) if self.mask >> i & 1)
+        return Sieve._of_mask(f.codomain_size, self.mode, mask)
 
     def classify(self) -> Classification:
         if not self.mask:
@@ -490,16 +494,6 @@ def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
     return tuple(base[_composite(to, p)] for p in _lattice(max(to) + 1, mode).parts)
 
 
-def _pullback_mask(mask: int, to: tuple[int, ...], mode: Mode) -> int:
-    """The pullback of a sieve mask along a coarse-graining with index
-    map `to`: the codomain bits whose composite partition is in `mask`."""
-    out = 0
-    for j, i in enumerate(_pullback_table(to, mode)):
-        if mask >> i & 1:
-            out |= 1 << j
-    return out
-
-
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
     """Smallest sieve containing the seed partitions."""
     lattice = _lattice(k, mode)
@@ -515,38 +509,45 @@ def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
 
 
 @lru_cache(maxsize=None)
-def _mass_groups(k: int, mode: Mode, subset: int) -> tuple[tuple[int, int], ...]:
-    """The admissible partitions grouped by the union of their blocks
-    that meet a subset bitmask: one (union, group) mask pair per union."""
-    groups: dict[int, int] = {}
-    for i, p in enumerate(_lattice(k, mode).parts):
-        union = _image(p, subset)
-        groups[union] = groups.get(union, 0) | 1 << i
-    return tuple(groups.items())
+def _images(k: int, mode: Mode):
+    """The image table of (k, mode), a read-only 2^k x |lattice| int16
+    array: entry [s, i] is the union of the blocks of admissible
+    partition i that meet subset bitmask s.  Row s adds the block of the
+    highest bit h of s last, images[s] = images[s ^ h] | (block of h)."""
+    import numpy as np
+
+    parts = _lattice(k, mode).parts
+    images = np.zeros((1 << k, len(parts)), dtype=np.int16)
+    for h in range(k):
+        images[1 << h:2 << h] = images[:1 << h] | np.array([_image(p, 1 << h) for p in parts], dtype=np.int16)
+    images.setflags(write=False)
+    return images
 
 
-def subset_masses(weights: Sequence[float]) -> list[float]:
-    """The weight of every subset bitmask, m[s] = m[s ^ h] + w[h] for the
-    highest bit h of s: terms add in ascending index order from 0.
-    Weights are clamped at 0 (a density matrix may have eigenvalues down
-    to -tau_psd): a float sum of non-negative terms never shrinks as
-    terms are added, so coarser partitions keep the mass."""
+def mass_rows(k: int, mode: Mode, weights: Sequence[float], cutoff: float):
+    """The sieve kernel: the 2^k x |lattice| bool matrix whose row s is
+    the sieve mask, as bits, of the admissible partitions whose blocks
+    meeting subset bitmask s carry weight at least `cutoff`.  It gathers,
+    through the image table, the weight of every subset bitmask,
+    m[s] = m[s ^ h] + w[h] for the highest bit h of s, so terms add in
+    ascending index order from 0.  Weights are clamped at 0 (a density
+    matrix may have eigenvalues down to -tau_psd): a float sum of
+    non-negative terms never shrinks as terms are added, so coarser
+    partitions keep the mass."""
+    import numpy as np
+
     masses = [0]
     for w in weights:
         w = max(w, 0.0)
         masses += [m + w for m in masses]
-    return masses
+    return np.array(masses)[_images(k, mode)] >= cutoff
 
 
-def mass_sieve(k: int, mode: Mode, subset: int, masses: Sequence[float], cutoff: float) -> int:
-    """Mask of the admissible partitions whose blocks meeting a subset
-    bitmask carry total weight at least `cutoff`, read from a table of
-    `subset_masses`."""
-    mask = 0
-    for union, group in _mass_groups(k, mode, subset):
-        if masses[union] >= cutoff:
-            mask |= group
-    return mask
+def _row_masks(bits) -> tuple[int, ...]:
+    """The rows of a bool matrix as int masks (column i is bit i)."""
+    import numpy as np
+
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little"))
 
 
 # -- DOT export ------------------------------------------------------

@@ -13,12 +13,14 @@ Three construction families are provided:
   one after coarse-graining;
 * thresholded on a density matrix: probability at least r suffices.
 
-Every family runs through one kernel, `mass_sieve`, cut to a domain: a
-state has its weights on the whole lattice; a partial valuation has, per
-member, the up-set of r, the common coarsening of the operator by the
-member, with the indicator of the r-block holding the member's assigned
-eigenprojector as weights.  Results depend only on the fiber partition
-of a coarse-graining and never on its labels.
+Every family runs through one kernel, `sieves.mass_rows`: the sieves of
+all 2^k subsets of an operator's spectrum as one bit matrix, cut to a
+domain.  A state has its weights on the whole lattice; a partial
+valuation ORs one matrix per member, on the up-set of r, the common
+coarsening of the operator by the member, with the indicator of the
+r-block holding the member's assigned eigenprojector as weights.
+Results depend only on the fiber partition of a coarse-graining and
+never on its labels.
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ from .sieves import (
     _lattice,
     _mask_of,
     _pullback_table,
-    mass_sieve,
-    subset_masses,
+    _row_masks,
+    mass_rows,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -153,9 +155,9 @@ class GeneralizedValuation:
     """A sieve-valued truth assignment over a fixed sieve mode.
 
     The mode is part of the valuation, so sieves from different modes can
-    never be compared by accident.  Every answer comes from `sieve_mask`,
-    which fills one row of 2^k sieve masks per operator lazily, one per
-    subset bitmask; the audits compare these ints or whole rows of them.
+    never be compared by accident.  Every answer comes from one bit
+    matrix per operator, `_matrix`, kept with its rows as int masks;
+    `sieve_mask` reads one mask, and the audits compare whole rows.
     """
 
     def __init__(self, kind, mode, *, partial=None, state=None, r=1.0, tol=DEFAULT_TOL):
@@ -165,8 +167,7 @@ class GeneralizedValuation:
         self.state = state
         self.r = float(r)
         self.tol = tol
-        self._rows: dict = {}
-        self._bit_rows: dict = {}  # per operator, its row as a `_row_matrix`
+        self._rows: dict = {}  # per operator, its `_matrix` and the matrix's rows as masks
 
     @staticmethod
     def from_partial(v: PartialValuation, mode: Mode, tol: Tolerances = DEFAULT_TOL) -> "GeneralizedValuation":
@@ -184,15 +185,17 @@ class GeneralizedValuation:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
 
-    def _weighted_domains(self, a: SpectralOperator) -> list[tuple[list[float], int]]:
-        """The (subset-mass table, domain mask) pairs of the operator a;
-        domains of a partial valuation are decided under its own
-        tolerances."""
-        lattice = _lattice(a.k, self.mode)
+    def _matrix(self, a: SpectralOperator) -> np.ndarray:
+        """The 2^k x |lattice| bit matrix of a's sieves: row s is the
+        sieve of "a in s" for the subset bitmask s.  A state's is one
+        `mass_rows`; a partial valuation ORs one per member, cut to the
+        member's domain, which is decided under its own tolerances."""
+        cutoff = self.r - self.tol.tau_one
         if self.kind != "partial":
-            return [(subset_masses(self.state.weights(a.projectors)), lattice.full)]
+            return mass_rows(a.k, self.mode, self.state.weights(a.projectors), cutoff)
+        lattice = _lattice(a.k, self.mode)
         tol = self.partial.tol
-        pairs = []
+        bits = np.zeros((1 << a.k, len(lattice.parts)), dtype=bool)
         for c, idx in self.partial.members:
             if c.dim != a.dim:
                 continue
@@ -200,56 +203,41 @@ class GeneralizedValuation:
             if i is None:
                 continue  # the one-block partition without constants: empty domain
             held = _linked(np.stack(a.projectors), c.projectors[idx], tol)[0]
-            pairs.append((subset_masses([float(j == held) for j in range(a.k)]), lattice.up[i]))
-        return pairs
+            domain = np.array([lattice.up[i] >> j & 1 for j in range(len(lattice.parts))], dtype=bool)
+            bits |= mass_rows(a.k, self.mode, [float(j == held) for j in range(a.k)], cutoff) & domain
+        return bits
+
+    def _row(self, a: SpectralOperator) -> tuple[np.ndarray, tuple[int, ...]]:
+        """a's `_matrix` and its rows as sieve masks, built once per operator."""
+        if a not in self._rows:
+            bits = self._matrix(a)
+            self._rows[a] = (bits, _row_masks(bits))
+        return self._rows[a]
 
     def sieve_mask(self, a: SpectralOperator, s: int) -> int:
         """The sieve mask of the proposition that a's value lies in the
         subset with bitmask s (bit i = eigenvalue index i)."""
-        if a not in self._rows:
-            self._rows[a] = (self._weighted_domains(a), [None] * (1 << a.k))
-        pairs, row = self._rows[a]
-        mask = row[s]
-        if mask is None:
-            cutoff = self.r - self.tol.tau_one
-            mask = 0
-            for masses, domain in pairs:
-                mask |= mass_sieve(a.k, self.mode, s, masses, cutoff) & domain
-            row[s] = mask
-        return mask
+        if not (isinstance(s, int) and 0 <= s < 1 << a.k):
+            raise InputError(f"subset bitmask {s!r} is not an int in 0..{(1 << a.k) - 1}")
+        return self._row(a)[1][s]
 
     def evaluate(self, p: Proposition) -> Sieve:
         return Sieve._of_mask(p.operator.k, self.mode, self.sieve_mask(p.operator, p.bits))
 
 
-def _row_matrix(nu: GeneralizedValuation, a: SpectralOperator) -> np.ndarray:
-    """The 2^k x |lattice| bit matrix of a's sieve masks: entry [s, i]
-    is bit i of nu.sieve_mask(a, s)."""
-    width = len(_lattice(a.k, nu.mode).parts)
-    size = (width + 7) // 8
-    packed = b"".join(nu.sieve_mask(a, s).to_bytes(size, "little") for s in range(1 << a.k))
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits.reshape(1 << a.k, size * 8)[:, :width]
-
-
 def _failed_squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap) -> tuple[CoarseGraining, np.ndarray]:
     """The coarse-graining of a by f, and per subset bitmask s whether
     the sieve of "f(a) in f(s)" differs from the pullback of the sieve
-    of "a in s": a column gather of a's row through `_pullback_table`
-    against a row gather of f(a)'s row at the images f(s).  a's row is
-    unpacked once per valuation, as the audits check every
-    coarse-graining of one operator."""
+    of "a in s": a column gather of a's bit matrix through
+    `_pullback_table` against a row gather of f(a)'s at the images f(s).
+    f(a) is a new operator on every call, so its matrix is not kept."""
     fibers, labels = value_fibers(a, f, nu.tol)
     cg = CoarseGraining(fibers, labels, base=a)
-    b = _coarse_operator(a, fibers, labels)
     images = [0]  # images[s] = images[s ^ h] | f(h) for the highest bit h of s
     for j in cg.to:
         images += [m | 1 << j for m in images]
-    base = nu._bit_rows.get(a)
-    if base is None:
-        base = nu._bit_rows[a] = _row_matrix(nu, a)
-    pullbacks = base[:, _pullback_table(cg.to, nu.mode)]
-    return cg, (pullbacks != _row_matrix(nu, b)[images]).any(axis=1)
+    pullbacks = nu._row(a)[0][:, _pullback_table(cg.to, nu.mode)]
+    return cg, (pullbacks != nu._matrix(_coarse_operator(a, fibers, labels))[images]).any(axis=1)
 
 
 class DisjunctionStrength(Enum):
@@ -279,7 +267,7 @@ def check_axioms(nu: GeneralizedValuation, a: SpectralOperator) -> Report:
     valuations and an informational note for partial-family ones."""
     report = Report("valuation axioms")
     subsets = range(1 << a.k)
-    sieves = [nu.sieve_mask(a, s) for s in subsets]
+    sieves = nu._row(a)[1]
     full = _lattice(a.k, nu.mode).full
     true = [m == full != 0 for m in sieves]  # an empty lattice is only totally false
 
@@ -372,7 +360,7 @@ def check_naturality(
     """Commutation of the valuation with one coarse-graining across every
     subset (proposition square) and every eigenvalue (pointwise square
     through the singleton embedding): 2^k + k checks, all decided at
-    once on whole rows of sieve masks unpacked into bit matrices.
+    once on whole rows of the valuation's bit matrices.
     Messages are formatted for failed squares only."""
     report = Report("naturality")
     cg, failed = _failed_squares(nu, a, f)

@@ -203,6 +203,14 @@ def brute_naturality_failures(nu, a: SpectralOperator, values) -> list[int]:
     return failed
 
 
+def bit_rows(k: int, mode: Mode, masks) -> np.ndarray:
+    """Sieve masks over the admissible partitions of (k, mode) as the
+    rows of a bool matrix: column i is bit i, the i-th partition in
+    sorted order.  How a test valuation hands over its sieves."""
+    width = len(admissible_partitions(k, mode))
+    return np.array([[m >> i & 1 for i in range(width)] for m in masks], dtype=bool).reshape(len(masks), width)
+
+
 def brute_mass_sieve(k: int, mode: Mode, weights, delta, cutoff: float) -> frozenset[Partition]:
     """Partitions whose blocks meeting delta carry weight >= cutoff."""
     delta = frozenset(delta)

@@ -22,6 +22,7 @@ from sievelogic import (
     decompose,
     true_w,
 )
+from helpers import bit_rows
 
 FINEST2 = Partition.discrete(2)
 
@@ -102,8 +103,9 @@ def test_local_valuation_text():
 class _Singletons(GeneralizedValuation):
     """Broken on purpose: exactly the one-element subsets are true."""
 
-    def sieve_mask(self, a, s):
-        return Sieve.totally_true(a.k, self.mode).mask if bin(s).count("1") == 1 else 0
+    def _matrix(self, a):
+        full = Sieve.totally_true(a.k, self.mode).mask
+        return bit_rows(a.k, self.mode, [full if bin(s).count("1") == 1 else 0 for s in range(1 << a.k)])
 
 
 class _OnlyOn(GeneralizedValuation):
@@ -113,8 +115,9 @@ class _OnlyOn(GeneralizedValuation):
         super().__init__(*args, **kwargs)
         self.op = op
 
-    def sieve_mask(self, a, s):
-        return Sieve.totally_true(a.k, self.mode).mask if a is self.op and s else 0
+    def _matrix(self, a):
+        full = Sieve.totally_true(a.k, self.mode).mask
+        return bit_rows(a.k, self.mode, [full if a is self.op and s else 0 for s in range(1 << a.k)])
 
 
 def test_axioms_text():

@@ -28,7 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import _mask_of, mass_sieve, subset_masses
+from sievelogic.sieves import _image, _images, _mask_of, _row_masks, mass_rows
 from helpers import (
     brute_classify,
     brute_coarsenings,
@@ -501,7 +501,38 @@ class TestKernelClosure:
         built = [
             sa.meet(sb), sa.join(sb), sa.implies(sb), sa.neg(),
             sa.pullback(data.draw(grainings(k))),
-            Sieve._of_mask(k, mode, mass_sieve(k, mode, sum(1 << i for i in delta), subset_masses(weights), cutoff)),
+            Sieve._of_mask(k, mode, _row_masks(mass_rows(k, mode, weights, cutoff))[sum(1 << i for i in delta)]),
         ]
         for s in built:
             assert brute_up_set(s.k, mode, s.partitions) == s.partitions
+
+
+class TestMassRowsSecondRoute:
+    """The image table against `_image` per entry, and the sieve kernel
+    against `brute_mass_sieve` per subset, at the largest routine sizes."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_image_table(self, k, mode):
+        images = _images(k, mode)
+        parts = sorted(admissible_partitions(k, mode))
+        assert images.shape == (1 << k, len(parts))
+        assert images.tolist() == [[_image(p, s) for p in parts] for s in range(1 << k)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_kernel(self, k, mode):
+        rng = np.random.default_rng([k, mode is Mode.WITH_CONSTANTS, 91])
+        # dyadic weights add exactly in any order, so a cutoff equal to a
+        # subset's mass sits exactly on the boundary; the one negative
+        # weight, allowed down to -tau_psd, must count as 0
+        weights = [float(w) for w in rng.integers(0, 9, size=k) / 32]
+        weights[int(rng.integers(k))] = -DEFAULT_TOL.tau_psd / 2
+        clamped = [max(w, 0.0) for w in weights]
+        chosen = [i for i in range(k) if rng.random() < 0.5] or [0]
+        for cutoff in (sum(clamped[i] for i in chosen), sum(clamped) - DEFAULT_TOL.tau_one):
+            rows = mass_rows(k, mode, weights, cutoff)
+            parts = sorted(admissible_partitions(k, mode))
+            for s, row in enumerate(rows.tolist()):
+                delta = [i for i in range(k) if s >> i & 1]
+                assert frozenset(p for p, bit in zip(parts, row) if bit) == brute_mass_sieve(k, mode, clamped, delta, cutoff)

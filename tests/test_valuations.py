@@ -39,6 +39,7 @@ from sievelogic import (
     valuations,
 )
 from helpers import (
+    bit_rows,
     brute_axiom_report,
     brute_consistent,
     brute_induced_sieve,
@@ -205,10 +206,33 @@ class TestStateValuation:
         p = Proposition(spin1_sx, frozenset([2]))
         first = nu.evaluate(p)
         calls = []
-        monkeypatch.setattr(valuations, "mass_sieve", lambda *args: calls.append(args))
+        monkeypatch.setattr(valuations, "mass_rows", lambda *args: calls.append(args))
         assert nu.evaluate(p) == first
         assert nu.sieve_mask(spin1_sx, 0b100) == first.mask
         assert calls == []
+
+    @pytest.mark.parametrize("s", [-1, 8, 2.0, "1", None])
+    def test_sieve_mask_rejects_bad_subset(self, spin1_sx, spin1_psi, s):
+        # -1 once read the last entry of the row (the full spectrum) and 8
+        # raised a bare IndexError
+        nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
+        with pytest.raises(InputError, match=r"is not an int in 0\.\.7$"):
+            nu.sieve_mask(spin1_sx, s)
+        assert nu.sieve_mask(spin1_sx, 7) == Sieve.totally_true(3, Mode.WITH_CONSTANTS).mask
+        assert nu.sieve_mask(spin1_sx, 0) == 0
+
+    def test_coarse_rows_not_kept(self):
+        # every naturality square builds f(a) afresh; only a's row is kept
+        rng = np.random.default_rng(81)
+        a = rand_operator(rng, 6, 5)
+        for nu in (
+            GeneralizedValuation.from_state(rand_vector_state(rng, 6), Mode.WITH_CONSTANTS),
+            GeneralizedValuation.from_partial(PartialValuation.maximal(a, 2), Mode.WITH_CONSTANTS),
+        ):
+            for _ in range(2):
+                for p in all_partitions(5):
+                    check_naturality(nu, a, [float(p.block_of(i)) for i in range(5)])
+            assert len(nu._rows) == 1
 
 
 class TestPartialFamilyValuation:
@@ -674,8 +698,8 @@ class _MaskTable(GeneralizedValuation):
         super().__init__(*args, **kwargs)
         self.table = table
 
-    def sieve_mask(self, a, s):
-        return self.table(a, s)
+    def _matrix(self, a):
+        return bit_rows(a.k, self.mode, [self.table(a, s) for s in range(1 << a.k)])
 
 
 class TestAxiomReportSecondRoute:
@@ -755,12 +779,14 @@ class _Scrambled(GeneralizedValuation):
         super().__init__(*args, **kwargs)
         self.seed = seed
 
-    def sieve_mask(self, a, s):
-        rng = np.random.default_rng([self.seed, a.k, s])
-        if rng.random() < 0.5:
-            return super().sieve_mask(a, s)
-        seed = [p for p in sorted(admissible_partitions(a.k, self.mode)) if rng.random() < 0.3]
-        return Sieve(a.k, self.mode, brute_up_set(a.k, self.mode, seed)).mask
+    def _matrix(self, a):
+        bits = super()._matrix(a)
+        for s in range(1 << a.k):
+            rng = np.random.default_rng([self.seed, a.k, s])
+            if rng.random() >= 0.5:
+                seed = [p for p in sorted(admissible_partitions(a.k, self.mode)) if rng.random() < 0.3]
+                bits[s] = bit_rows(a.k, self.mode, [Sieve(a.k, self.mode, brute_up_set(a.k, self.mode, seed)).mask])[0]
+        return bits
 
 
 class TestNaturalitySecondRoute:
