@@ -8,11 +8,13 @@ under further coarsening; sieves over one base form a Heyting algebra,
 which serves as the truth-value object of the valuation modules.
 
 A sieve is stored as an integer bitmask over the admissible partitions
-of its (k, mode), which are interned once in sorted order together with
-the up-set mask of each; lattice operations are bit operations.  The
-valuations' sieves come from one kernel, `mass_rows`: the sieves of all
-2^k subsets as a bool matrix, gathered from a subset-mass table through
-one image table per (k, mode).  Only these import numpy, when called.
+of its (k, mode).  `_lattice`, the one enumerator, builds them from
+restricted-growth codes and interns them once in sorted order, with
+the up-set mask of each; lattice operations are bit operations and
+pullbacks are code lookups.  The valuations' sieves come from one
+kernel, `mass_rows`: the sieves of all 2^k subsets as a bool matrix,
+the subset masses compared with the cutoff and gathered through one
+image table per (k, mode).  Only these import numpy, when called.
 
 Two regimes are supported and must always be chosen explicitly:
 WITH_CONSTANTS admits the one-block partition (constant functions count
@@ -24,7 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BaseMismatchError, InputError
@@ -141,8 +143,8 @@ class Partition:
 
 
 # The largest spectrum whose partition lattice is built: k = 9 has 21147
-# partitions and 1.6 million (partition, coarsening) pairs; k = 10 would
-# build 16.7 million pairs and 115975 up-set masks of 115975 bits, 1.7 GB.
+# partitions and 1.6 million (partition, coarsening) pairs, about 1 s to
+# build cold; k = 10 would hold 115975 up-set masks of 115975 bits, 1.7 GB.
 MAX_SPECTRUM = 9
 
 
@@ -158,47 +160,22 @@ def bell_number(k: int) -> int:
     return row[-1]
 
 
-@lru_cache(maxsize=None)
 def all_partitions(k: int) -> tuple[Partition, ...]:
     """Every set partition of {0..k-1}, sorted canonically (Bell(k) many)."""
-    if k < 1:
-        raise InputError("partition base must be nonempty")
-    if k > MAX_SPECTRUM:
-        raise InputError(
-            f"a spectrum of {k} distinct eigenvalues has Bell({k}) = {bell_number(k)} "
-            f"coarse-grainings; at most {MAX_SPECTRUM} eigenvalues are supported"
-        )
-    results = []
-
-    def grow(i: int, blocks: list[list[int]]) -> None:
-        if i == k:
-            results.append(Partition.of(blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    return tuple(sorted(results))
+    return _lattice(k, Mode.WITH_CONSTANTS).parts
 
 
 @lru_cache(maxsize=None)
 def coarsenings_of(p: Partition) -> tuple[Partition, ...]:
-    """All partitions coarser than or equal to p (one per partition of
-    p's block set)."""
-    return tuple(sorted(p.merge_blocks(g) for g in all_partitions(p.n_blocks)))
+    """All partitions coarser than or equal to p, sorted."""
+    lattice = _lattice(p.k, Mode.WITH_CONSTANTS)
+    if p not in lattice.index:
+        raise InputError(f"partition {p} is not a canonical partition of {{0..{p.k - 1}}}")
+    return tuple(lattice.parts[j] for j in _bits(lattice.up[lattice.index[p]]))
 
 
-@lru_cache(maxsize=None)
 def admissible_partitions(k: int, mode: Mode) -> frozenset[Partition]:
-    parts = all_partitions(k)
-    if mode is Mode.WITHOUT_CONSTANTS:
-        parts = tuple(p for p in parts if p.n_blocks > 1)
-    return frozenset(parts)
+    return frozenset(_lattice(k, mode).parts)
 
 
 class _Lattice(NamedTuple):
@@ -207,18 +184,48 @@ class _Lattice(NamedTuple):
 
     parts: tuple[Partition, ...]
     index: dict[Partition, int]
+    codes: dict[tuple[int, ...], int]  # restricted-growth code -> bit, in bit order
     full: int
-    one_block: int
+    one_block: int  # the one-block partition's bit (its up mask), 0 when inadmissible
     up: tuple[int, ...]  # per partition, the mask of its admissible coarsenings, itself included
+
+
+def _canonical(labels: Iterable) -> tuple[int, ...]:
+    """The restricted-growth code of a labelling: each label replaced by
+    the rank of its first occurrence (the canonical position of its block)."""
+    first: dict = {}
+    return tuple(first.setdefault(x, len(first)) for x in labels)
 
 
 @lru_cache(maxsize=None)
 def _lattice(k: int, mode: Mode) -> _Lattice:
-    parts = tuple(sorted(admissible_partitions(k, mode)))
+    """The one partition enumerator.  Codes of length k grow from those of
+    length k - 1 by appending a used label or the next new one.  Merging
+    blocks a < b of a code gives the code of a cover, so up[p] is bit p
+    OR'd with the up-sets of p's covers, taken fewest blocks first."""
+    if k < 1:
+        raise InputError("partition base must be nonempty")
+    if k > MAX_SPECTRUM:
+        raise InputError(
+            f"a spectrum of {k} distinct eigenvalues has Bell({k}) = {bell_number(k)} "
+            f"coarse-grainings; at most {MAX_SPECTRUM} eigenvalues are supported"
+        )
+    grown = [()]
+    for _ in range(k):
+        grown = [c + (x,) for c in grown for x in range(max(c, default=-1) + 2)]
+    # the all-zero code is the one-block partition, a constant function
+    blocks = {c: tuple(tuple(i for i, x in enumerate(c) if x == b) for b in range(max(c) + 1))
+              for c in grown if any(c) or mode is Mode.WITH_CONSTANTS}
+    codes = {c: i for i, c in enumerate(sorted(blocks, key=blocks.get))}
+    parts = tuple(Partition(blocks[c]) for c in codes)
+    up: dict[tuple[int, ...], int] = {}
+    for c in sorted(codes, key=max):
+        mask = 1 << codes[c]
+        for a, b in combinations(range(max(c) + 1), 2):
+            mask |= up.get(tuple(a if x == b else x - (x > b) for x in c), 0)
+        up[c] = mask
     index = {p: i for i, p in enumerate(parts)}
-    up = tuple(sum(1 << index[q] for q in coarsenings_of(p) if q in index) for p in parts)
-    top = index.get(Partition.one_block(k))
-    return _Lattice(parts, index, (1 << len(parts)) - 1, 0 if top is None else 1 << top, up)
+    return _Lattice(parts, index, codes, (1 << len(parts)) - 1, up.get((0,) * k, 0), tuple(up[c] for c in codes))
 
 
 def _bits(mask: int):
@@ -261,12 +268,6 @@ def _mask_of(indices: Iterable[int], k: int, noun: str) -> int:
             raise InputError(f"{noun} index outside 0..{k - 1}")
         mask |= 1 << j
     return mask
-
-
-def _composite(to: Sequence[int], grouping: Partition) -> Partition:
-    """Base partition joining the base indices i whose codomain indices
-    to[i] fall in one block of a partition of the codomain."""
-    return Partition.of([[i for i, j in enumerate(to) if j in g] for g in grouping.blocks])
 
 
 def _image(p: Partition, subset: int) -> int:
@@ -322,7 +323,8 @@ class CoarseGraining:
         base indices are joined when their blocks fall in one group."""
         if grouping.k != self.codomain_size:
             raise BaseMismatchError("grouping must partition the codomain spectrum")
-        return _composite(self.to, grouping)
+        lattice = _lattice(len(self.to), Mode.WITH_CONSTANTS)
+        return lattice.parts[lattice.codes[_canonical(grouping.block_of(j) for j in self.to)]]
 
 
 def _from_values(values: Sequence, base) -> CoarseGraining:
@@ -458,10 +460,7 @@ class Sieve:
 
     def _avoiding(self, bad: int) -> "Sieve":
         """Partitions none of whose admissible coarsenings lie in `bad`."""
-        mask = 0
-        for i, up in enumerate(self._lattice.up):
-            if not up & bad:
-                mask |= 1 << i
+        mask = sum(1 << i for i, up in enumerate(self._lattice.up) if not up & bad)
         return Sieve._of_mask(self.k, self.mode, mask)
 
     # -- presheaf structure ------------------------------------------
@@ -487,11 +486,12 @@ class Sieve:
 @lru_cache(maxsize=None)
 def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
     """A gather index for pullbacks along a coarse-graining with this
-    index map: entry j is the base bit of the composite of the codomain's
-    admissible partition j, so codomain bit j of a pullback is that base
+    (surjective) index map: entry j is the base bit of the composite of
+    the codomain's admissible partition j, whose code is that partition's
+    code read through `to`, so codomain bit j of a pullback is that base
     bit of the sieve."""
-    base = _lattice(len(to), mode).index
-    return tuple(base[_composite(to, p)] for p in _lattice(max(to) + 1, mode).parts)
+    base = _lattice(len(to), mode).codes
+    return tuple(base[_canonical(code[j] for j in to)] for code in _lattice(max(to) + 1, mode).codes)
 
 
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
@@ -527,20 +527,20 @@ def _images(k: int, mode: Mode):
 def mass_rows(k: int, mode: Mode, weights: Sequence[float], cutoff: float):
     """The sieve kernel: the 2^k x |lattice| bool matrix whose row s is
     the sieve mask, as bits, of the admissible partitions whose blocks
-    meeting subset bitmask s carry weight at least `cutoff`.  It gathers,
-    through the image table, the weight of every subset bitmask,
-    m[s] = m[s ^ h] + w[h] for the highest bit h of s, so terms add in
-    ascending index order from 0.  Weights are clamped at 0 (a density
-    matrix may have eigenvalues down to -tau_psd): a float sum of
-    non-negative terms never shrinks as terms are added, so coarser
-    partitions keep the mass."""
+    meeting subset bitmask s carry weight at least `cutoff`.  It compares
+    every subset bitmask's weight, m[s] = m[s ^ h] + w[h] for the highest
+    bit h of s (terms add in ascending index order from 0), with the
+    cutoff, then gathers the verdicts through the image table.  Weights
+    are clamped at 0 (a density matrix may have eigenvalues down to
+    -tau_psd): a float sum of non-negative terms never shrinks as terms
+    are added, so coarser partitions keep the mass."""
     import numpy as np
 
     masses = [0]
     for w in weights:
         w = max(w, 0.0)
         masses += [m + w for m in masses]
-    return np.array(masses)[_images(k, mode)] >= cutoff
+    return (np.array(masses) >= cutoff)[_images(k, mode)]
 
 
 def _row_masks(bits) -> tuple[int, ...]:
@@ -578,13 +578,12 @@ def lattice_dot(
     """
     if sieve is not None and (sieve.k != k or sieve.mode != mode):
         raise BaseMismatchError("sieve does not match the requested lattice")
-
-    def label(p: Partition) -> str:
-        return p.format(values, fmt) if values is not None else str(p)
+    if values is not None and len(values) != k:
+        raise InputError(f"need {k} eigenvalue labels, got {len(values)}")
 
     lines = ["digraph partition_lattice {", "  rankdir=BT;", '  node [shape=box];']
     for p in _lattice(k, mode).parts:
-        attrs = f'label="{label(p)}"'
+        attrs = f'label="{p if values is None else p.format(values, fmt)}"'
         if sieve is not None and p in sieve:
             attrs += ', style=filled, fillcolor="lightblue"'
         lines.append(f'  "{p}" [{attrs}];')

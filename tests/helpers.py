@@ -21,7 +21,6 @@ from sievelogic import (
     Sieve,
     SpectralOperator,
     SubalgebraPoset,
-    all_partitions,
     admissible_partitions,
     apply_function,
     decompose,
@@ -122,15 +121,37 @@ def rand_basis_context(rng, dim: int):
 # -- oracles ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def brute_partitions(k: int) -> tuple[Partition, ...]:
+    """Every set partition of {0..k-1}, sorted, as the fibers of every
+    labelling in range(k)^k through `Partition.of`, deduplicated.  The
+    labellings with label 0 at element 0 already give every partition
+    (relabel 0's block to 0), so only those k^(k-1) are walked."""
+    return tuple(sorted({
+        Partition.of([i for i, x in enumerate(labels) if x == v] for v in set(labels))
+        for labels in ((0,) + rest for rest in itertools.product(range(k), repeat=k - 1))
+    }))
+
+
+def brute_admissible(k: int, mode: Mode) -> list[Partition]:
+    return [p for p in brute_partitions(k) if mode is Mode.WITH_CONSTANTS or p.n_blocks > 1]
+
+
+@lru_cache(maxsize=None)
 def brute_coarsenings(p: Partition) -> frozenset[Partition]:
-    return frozenset(q for q in all_partitions(p.k) if q.coarsens(p))
+    return frozenset(q for q in brute_partitions(p.k) if q.coarsens(p))
+
+
+def brute_composite(to, q: Partition) -> Partition:
+    """The base partition joining base indices i whose codomain indices
+    to[i] share a block of q."""
+    return Partition.of([i for i, j in enumerate(to) if j in b] for b in q.blocks)
 
 
 @lru_cache(maxsize=None)
 def brute_up_sets(k: int, mode: Mode) -> tuple[frozenset[Partition], ...]:
     """Every up-closed subset of the admissible partition order, by
     filtering the full power set.  Only usable for small k."""
-    parts = sorted(admissible_partitions(k, mode))
+    parts = brute_admissible(k, mode)
     ups = {p: [q for q in brute_coarsenings(p) if q in set(parts)] for p in parts}
     out = []
     for n in range(len(parts) + 1):

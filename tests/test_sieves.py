@@ -28,12 +28,15 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import _image, _images, _mask_of, _row_masks, mass_rows
+from sievelogic.sieves import _image, _images, _lattice, _mask_of, _pullback_table, _row_masks, mass_rows
 from helpers import (
+    brute_admissible,
     brute_classify,
     brute_coarsenings,
+    brute_composite,
     brute_implies,
     brute_mass_sieve,
+    brute_partitions,
     brute_pullback,
     brute_up_set,
     brute_up_sets,
@@ -129,6 +132,11 @@ class TestEnumeration:
     def test_coarsenings_match_brute_force(self, k):
         for p in all_partitions(k):
             assert set(coarsenings_of(p)) == brute_coarsenings(p)
+
+    def test_coarsenings_of_rejects_a_partition_outside_the_lattice(self):
+        # raw blocks out of canonical order: no bit of the lattice stands for it
+        with pytest.raises(InputError, match="not a canonical partition"):
+            coarsenings_of(Partition(((1,), (0,))))
 
     def test_covering_pairs_k3(self):
         edges = covering_pairs(3, Mode.WITH_CONSTANTS)
@@ -315,6 +323,10 @@ class TestDot:
         with pytest.raises(BaseMismatchError):
             lattice_dot(4, Mode.WITH_CONSTANTS, sieve=s)
 
+    def test_label_count_must_match(self):
+        with pytest.raises(InputError, match="need 3 eigenvalue labels, got 2"):
+            lattice_dot(3, Mode.WITH_CONSTANTS, values=[1.0, 2.0])
+
 
 # -- second route for the bitmask kernel ---------------------------------
 
@@ -323,7 +335,7 @@ MODES = [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS]
 
 @st.composite
 def up_sets(draw, k, mode):
-    """Any up-set at k <= 4 (from the full enumeration); at k = 5 the
+    """Any up-set at k <= 4 (from the full enumeration); at k >= 5 the
     brute up-closure of a random seed."""
     if k <= 4:
         return draw(st.sampled_from(brute_up_sets(k, mode)))
@@ -441,9 +453,9 @@ class TestKernelSecondRoute:
 
 @st.composite
 def graining_chains(draw):
-    """Two composable coarse-grainings f, g of a base of at most five
+    """Two composable coarse-grainings f, g of a base of at most six
     elements, and an up-set over that base."""
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
     mode = draw(st.sampled_from(MODES))
     f = draw(grainings(k))
     return k, mode, draw(up_sets(k, mode)), f, draw(grainings(f.codomain_size))
@@ -536,3 +548,93 @@ class TestMassRowsSecondRoute:
             for s, row in enumerate(rows.tolist()):
                 delta = [i for i in range(k) if s >> i & 1]
                 assert frozenset(p for p, bit in zip(parts, row) if bit) == brute_mass_sieve(k, mode, clamped, delta, cutoff)
+
+
+class TestLatticeSecondRoute:
+    """The code-built lattice against `brute_partitions`: the partitions
+    and their codes, the up masks and the pullback tables, at every
+    k <= 7 in both modes."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_all_partitions(self, k):
+        assert all_partitions(k) == brute_partitions(k)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_up_masks(self, k, mode):
+        lattice = _lattice(k, mode)
+        parts = brute_admissible(k, mode)
+        assert list(lattice.parts) == parts
+        assert lattice.index == {p: i for i, p in enumerate(parts)}
+        assert lattice.codes == {tuple(p.block_of(i) for i in range(k)): j for j, p in enumerate(parts)}
+        assert list(lattice.codes.values()) == list(range(len(parts)))
+        assert lattice.full == (1 << len(parts)) - 1
+        top = Partition.one_block(k)
+        assert lattice.one_block == (1 << parts.index(top) if top in parts else 0)
+        for p, up in zip(parts, lattice.up):
+            assert {q for j, q in enumerate(parts) if up >> j & 1} == brute_coarsenings(p) & set(parts)
+
+    @pytest.mark.parametrize("k,mode,pairs", [
+        (7, Mode.WITH_CONSTANTS, 19302), (8, Mode.WITH_CONSTANTS, 167894),
+        (7, Mode.WITHOUT_CONSTANTS, 18425), (8, Mode.WITHOUT_CONSTANTS, 163754),
+    ])
+    def test_pair_counts(self, k, mode, pairs):
+        assert sum(up.bit_count() for up in _lattice(k, mode).up) == pairs
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_pullback_tables(self, k):
+        """Every surjective index map at k <= 6; at k = 7 the canonical
+        map of every partition (its block positions)."""
+        if k <= 6:
+            maps = [to for to in itertools.product(range(k), repeat=k) if set(to) == set(range(max(to) + 1))]
+        else:
+            maps = [tuple(p.block_of(i) for i in range(k)) for p in brute_partitions(k)]
+        index = {mode: {p: i for i, p in enumerate(brute_admissible(k, mode))} for mode in MODES}
+        for to in maps:
+            composites = [(q, brute_composite(to, q)) for q in brute_partitions(max(to) + 1)]
+            for mode in MODES:
+                expected = [index[mode][c] for q, c in composites if mode is Mode.WITH_CONSTANTS or q.n_blocks > 1]
+                assert _pullback_table(to, mode) == tuple(expected)
+
+    def test_tables_validate_no_partition(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a table build validated a Partition")
+
+        monkeypatch.setattr(Partition, "_validate", refuse)
+        for mode in MODES:
+            for k in range(1, 8):
+                lattice = _lattice.__wrapped__(k, mode)
+                _images.__wrapped__(k, mode)
+                for to in lattice.codes:
+                    _pullback_table.__wrapped__(to, mode)
+
+
+@st.composite
+def presheaf_cases(draw):
+    k = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(MODES))
+    return k, mode, draw(up_sets(k, mode)), draw(up_sets(k, mode)), draw(grainings(k))
+
+
+class TestPresheafLaws:
+    """Pullback along a coarse-graining is a Heyting algebra map, and the
+    identity graining pulls every sieve back to itself (k <= 6)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(presheaf_cases())
+    def test_pullback_commutes_with_heyting_operations(self, case):
+        k, mode, a, b, f = case
+        sa, sb = Sieve(k, mode, a), Sieve(k, mode, b)
+        pa, pb = sa.pullback(f), sb.pullback(f)
+        assert sa.meet(sb).pullback(f) == pa.meet(pb)
+        assert sa.join(sb).pullback(f) == pa.join(pb)
+        assert sa.implies(sb).pullback(f) == pa.implies(pb)
+        assert sa.neg().pullback(f) == pa.neg()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(MODES), st.data())
+    def test_identity_pullback(self, k, mode, data):
+        s = Sieve(k, mode, data.draw(up_sets(k, mode)))
+        identity = CoarseGraining(Partition.discrete(k), tuple(float(i) for i in range(k)), base=None)
+        assert identity.to == tuple(range(k))
+        assert s.pullback(identity) == s
