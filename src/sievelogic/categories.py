@@ -24,7 +24,7 @@ from .spectral import (
     DEFAULT_TOL,
     SpectralOperator,
     Tolerances,
-    apply_function,
+    _coarse_operator,
     is_function_of,
     projector_leq,
 )
@@ -47,12 +47,11 @@ class CoarseGrainingLattice:
     corresponds to composing value maps.
     """
 
-    __slots__ = ("top", "mode", "objects", "tol", "_index", "_ops")
+    __slots__ = ("top", "mode", "objects", "_index", "_ops")
 
-    def __init__(self, top: SpectralOperator, mode: Mode = Mode.WITH_CONSTANTS, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, top: SpectralOperator, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
         self.mode = mode
-        self.tol = tol
         lattice = _lattice(top.k, mode)
         self.objects = lattice.parts
         self._index = lattice.index
@@ -62,11 +61,9 @@ class CoarseGrainingLattice:
         """The representative coarse observable of one object."""
         if p not in self._index:
             raise InputError(f"partition {p} is not an object of this lattice")
-        op = self._ops.get(p)
-        if op is None:
-            op = apply_function(self.top, [p.block_of(i) for i in range(self.top.k)], self.tol)
-            self._ops[p] = op
-        return op
+        if p not in self._ops:
+            self._ops[p] = _coarse_operator(self.top, canonical_graining(self.top, p))
+        return self._ops[p]
 
     def arrow(self, p: Partition) -> CoarseGraining:
         """The canonical coarse-graining from the object at p into the
@@ -134,7 +131,7 @@ def check_indicator_naturality(a: SpectralOperator, tol: Tolerances = DEFAULT_TO
     One side is pure index bookkeeping; the other evaluates projector
     domination on matrices, so agreement is a real computation."""
     report = Report("indicator naturality")
-    lattice = CoarseGrainingLattice(a, Mode.WITH_CONSTANTS, tol)
+    lattice = CoarseGrainingLattice(a, Mode.WITH_CONSTANTS)
     top_context = spectral_algebra(a, tol)
     for p in lattice.objects:
         coarse_op = lattice.operator_at(p)

@@ -261,6 +261,8 @@ def _mask_of(indices: Iterable[int], k: int, noun: str) -> int:
     mask = 0
     for i in indices:
         try:
+            if isinstance(i, bool):  # operator.index reads True as 1
+                raise TypeError
             j = operator.index(i)
         except TypeError:
             raise InputError(f"{noun} index {i!r} is not an integer") from None
@@ -285,12 +287,12 @@ def _image(p: Partition, subset: int) -> int:
 
 @dataclass(frozen=True)
 class CoarseGraining:
-    """A concrete coarse-graining of a base spectrum: the fiber partition
-    plus one injective real label per block (the distinct function values).
+    """A concrete coarse-graining of a base spectrum, the one record a
+    value map becomes (`spectral.value_fibers`): the fiber partition plus
+    one injective real label per block (the distinct function values).
 
-    The label order fixes how blocks correspond to eigenvalue indices of
-    the coarse observable: index j is the block holding the j-th smallest
-    label; `to[i]` is the codomain index of base element i.
+    Codomain index j is the block holding the j-th smallest label, and
+    `to[i]`, the codomain index of base element i, is read from one rank.
     """
 
     partition: Partition
@@ -301,10 +303,11 @@ class CoarseGraining:
     def __post_init__(self):
         if len(self.labels) != self.partition.n_blocks:
             raise InputError("need exactly one label per block")
-        if len(set(self.labels)) != len(self.labels):
+        rank = {label: j for j, label in enumerate(sorted(self.labels))}
+        if len(rank) != len(self.labels):
             raise InputError("labels must be injective on blocks")
-        ranked = sorted(self.labels)
-        object.__setattr__(self, "to", tuple(ranked.index(self.value_at(i)) for i in range(self.partition.k)))
+        to = {i: rank[label] for block, label in zip(self.partition.blocks, self.labels) for i in block}
+        object.__setattr__(self, "to", tuple(to[i] for i in range(len(to))))
 
     @property
     def codomain_size(self) -> int:
@@ -329,11 +332,11 @@ class CoarseGraining:
 
 def _from_values(values: Sequence, base) -> CoarseGraining:
     """The coarse-graining sending base index i to values[i]: the fibers
-    of the values, each labeled by its value."""
+    of the values (a partition by construction), each labeled by its value."""
     fibers: dict = {}  # keyed in order of first occurrence: canonical block order
     for i, v in enumerate(values):
         fibers.setdefault(v, []).append(i)
-    return CoarseGraining(Partition.of(fibers.values()), tuple(fibers), base=base)
+    return CoarseGraining(Partition(tuple(map(tuple, fibers.values()))), tuple(fibers), base=base)
 
 
 def compose(outer: "CoarseGraining", inner: "CoarseGraining") -> "CoarseGraining":

@@ -24,7 +24,7 @@ from .errors import (
     NotHermitianError,
     ZeroNormError,
 )
-from .sieves import Partition, _bits, _image, _mask_of
+from .sieves import CoarseGraining, Partition, _bits, _from_values, _image, _mask_of
 
 
 @dataclass(frozen=True)
@@ -302,34 +302,33 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
     return _finite_reals(values, "value map value")
 
 
-def value_fibers(
-    a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Partition, tuple[float, ...]]:
-    """Fiber partition of a's eigenvalue indices under f, with one label
-    (the clustered function value) per block, in canonical block order."""
+def value_fibers(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> CoarseGraining:
+    """The coarse-graining of a's eigenvalue indices by f: each value is
+    replaced by its cluster's `_fiber_value`, and `_from_values` groups the
+    indices into fibers, in canonical block order, labeled by those values."""
     values = normalize_value_map(a, f)
-    groups = cluster_values(values, tol.eps_group)
-    pairs = []
-    for g in groups:
+    snapped = list(values)
+    for g in cluster_values(values, tol.eps_group):
         label = _fiber_value([values[i] for i in g])
-        pairs.append((tuple(sorted(g)), label))
-    pairs.sort(key=lambda t: t[0][0])
-    return Partition.of([p[0] for p in pairs]), tuple(p[1] for p in pairs)
+        for i in g:
+            snapped[i] = label
+    return _from_values(snapped, a)
 
 
 def apply_function(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     """The operator f(a): same eigenbasis, eigenvalues pushed through f,
     fibers of f merged into single spectral points."""
-    return _coarse_operator(a, *value_fibers(a, f, tol))
+    return _coarse_operator(a, value_fibers(a, f, tol))
 
 
-def _coarse_operator(a: SpectralOperator, fibers: Partition, labels) -> SpectralOperator:
-    """The operator with the fiber labels as eigenvalues, ascending, and
-    the sum of a's projectors over each fiber as its projector."""
-    order = sorted(range(len(labels)), key=lambda pos: labels[pos])
-    eigenvalues = [labels[pos] for pos in order]
-    projectors = [a.projector(fibers.blocks[pos]) for pos in order]
-    return SpectralOperator._of_checked(eigenvalues, projectors)
+def _coarse_operator(a: SpectralOperator, cg: CoarseGraining) -> SpectralOperator:
+    """The operator with cg's labels as eigenvalues, ascending, and the
+    sum of a's projectors over each fiber as its projector: projector i
+    of a is added into slot cg.to[i], in ascending i."""
+    projectors = [np.zeros(a.projectors[0].shape, dtype=complex) for _ in cg.labels]
+    for i, j in enumerate(cg.to):
+        projectors[j] += a.projectors[i]
+    return SpectralOperator._of_checked(sorted(cg.labels), projectors)
 
 
 def _linked(stack: np.ndarray, q: np.ndarray, tol: Tolerances) -> list[int]:
@@ -387,8 +386,7 @@ def coarse_grained_projector(
     """Spectral projector of f(a) for the image f(delta): the sum of a's
     projectors over every index sharing an f-fiber with delta."""
     s = _mask_of(delta, a.k, "eigenvalue")
-    fibers, _ = value_fibers(a, f, tol)
-    return a.projector(_bits(_image(fibers, s)))
+    return a.projector(_bits(_image(value_fibers(a, f, tol).partition, s)))
 
 
 class QuantumState:

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InconsistentAssignmentsError, InputError
+from .errors import BaseMismatchError, InconsistentAssignmentsError, InputError
 from .report import Report
 from .sieves import (
     Classification,
@@ -87,6 +87,8 @@ class Proposition:
 def canonical_graining(a: SpectralOperator, p: Partition) -> CoarseGraining:
     """The coarse-graining with fiber partition p and block positions as
     labels; the canonical representative of p's isomorphism class."""
+    if p.k != a.k:
+        raise BaseMismatchError(f"partition of {p.k} indices for an operator with {a.k} eigenvalues")
     return CoarseGraining(p, tuple(float(pos) for pos in range(p.n_blocks)), base=a)
 
 
@@ -217,7 +219,7 @@ class GeneralizedValuation:
     def sieve_mask(self, a: SpectralOperator, s: int) -> int:
         """The sieve mask of the proposition that a's value lies in the
         subset with bitmask s (bit i = eigenvalue index i)."""
-        if not (isinstance(s, int) and 0 <= s < 1 << a.k):
+        if not (isinstance(s, int) and not isinstance(s, bool) and 0 <= s < 1 << a.k):
             raise InputError(f"subset bitmask {s!r} is not an int in 0..{(1 << a.k) - 1}")
         return self._row(a)[1][s]
 
@@ -231,13 +233,12 @@ def _failed_squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap) 
     of "a in s": a column gather of a's bit matrix through
     `_pullback_table` against a row gather of f(a)'s at the images f(s).
     f(a) is a new operator on every call, so its matrix is not kept."""
-    fibers, labels = value_fibers(a, f, nu.tol)
-    cg = CoarseGraining(fibers, labels, base=a)
+    cg = value_fibers(a, f, nu.tol)
     images = [0]  # images[s] = images[s ^ h] | f(h) for the highest bit h of s
     for j in cg.to:
         images += [m | 1 << j for m in images]
     pullbacks = nu._row(a)[0][:, _pullback_table(cg.to, nu.mode)]
-    return cg, (pullbacks != nu._matrix(_coarse_operator(a, fibers, labels))[images]).any(axis=1)
+    return cg, (pullbacks != nu._matrix(_coarse_operator(a, cg))[images]).any(axis=1)
 
 
 class DisjunctionStrength(Enum):

@@ -13,6 +13,7 @@ import numpy as np
 from sievelogic import (
     Classification,
     ContextFamily,
+    DegenerateClusteringError,
     Mode,
     Partition,
     Proposition,
@@ -450,6 +451,36 @@ def brute_dual_section(fam: ContextFamily, chunk: int = 1 << 16):
         if hit.size:
             return tuple(int(c[hit[0]]) for c in cols)
     return None
+
+
+def brute_value_fibers(values, eps: float) -> tuple[Partition, tuple[float, ...], tuple[int, ...]]:
+    """The fiber partition, block labels and codomain index map of a value
+    list, by union-find over every pair of values within eps (no sort
+    decides a fiber).  A component spanning more than eps raises
+    DegenerateClusteringError.  A block's label is the mean of its sorted
+    values (a singleton's is v + 0.0); codomain indices rank the labels."""
+    parent = list(range(len(values)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(values)), 2):
+        if abs(values[i] - values[j]) <= eps:
+            parent[root(i)] = root(j)
+    components: dict[int, list[int]] = {}
+    for i in range(len(values)):
+        components.setdefault(root(i), []).append(i)
+    fibers = Partition.of(components.values())
+    labels = []
+    for block in fibers.blocks:
+        spread = sorted(values[i] for i in block)
+        if spread[-1] - spread[0] > eps:
+            raise DegenerateClusteringError(f"values {spread} span more than {eps:g}")
+        labels.append(spread[0] + 0.0 if len(spread) == 1 else float(np.mean(spread)))
+    ranked = sorted(labels)
+    return fibers, tuple(labels), tuple(ranked.index(labels[fibers.block_of(i)]) for i in range(len(values)))
 
 
 def reconstructed_function_of(a: SpectralOperator, m: SpectralOperator, tau_rec: float = 1e-9):

@@ -157,7 +157,7 @@ class TestTwoValuedHom:
         with pytest.raises(InputError):
             TwoValuedHom(ctx, 3)
 
-    @pytest.mark.parametrize("atom", [0.5, -1, 2, "a"])
+    @pytest.mark.parametrize("atom", [0.5, -1, 2, "a", True])
     def test_non_index_atom_rejected(self, atom):
         # a 2-atom context: 2 is one past the last atom
         ctx = spectral_algebra(decompose(np.diag([0.0, 1.0])))

@@ -96,9 +96,9 @@ class TestIndexMask:
         assert _mask_of(iter(indices), 71, "atom") == _mask_of(frozenset(indices), 71, "atom")
 
     def test_integer_like_accepted(self):
-        assert _mask_of([np.int64(3), True, 3], 4, "atom") == 0b1010
+        assert _mask_of([np.int64(3), 1, 3], 4, "atom") == 0b1010
 
-    @pytest.mark.parametrize("bad", [1.0, 1.7, "1", None, np.float64(2.0)])
+    @pytest.mark.parametrize("bad", [1.0, 1.7, "1", None, np.float64(2.0), True, np.True_])
     def test_rejected(self, bad):
         with pytest.raises(InputError, match=r"^atom index .* is not an integer$"):
             _mask_of([0, bad], 4, "atom")
@@ -291,6 +291,8 @@ class TestCoarseGraining:
     def test_label_injectivity_required(self):
         with pytest.raises(InputError):
             CoarseGraining(Partition.of([[0], [1]]), (1.0, 1.0), base=None)
+        with pytest.raises(InputError):
+            CoarseGraining(Partition.of([[0], [1]]), (-0.0, 0.0), base=None)
 
     def test_value_and_image(self):
         f = CoarseGraining(Partition.of([[0, 2], [1]]), (1.0, 0.0), base=None)
@@ -492,6 +494,8 @@ class TestIndexMapSecondRoute:
                 f.image_indices([bad])
         with pytest.raises(InputError, match="^base index 1.5 is not an integer$"):
             f.image_indices([1.5])
+        with pytest.raises(InputError, match="^base index True is not an integer$"):
+            f.image_indices([True])
         assert f.image_indices([np.int64(2), 2]) == frozenset([1])
 
 

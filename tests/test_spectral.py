@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sievelogic import (
     DEFAULT_TOL,
@@ -29,6 +33,7 @@ from sievelogic import (
 from sievelogic import spectral
 from sievelogic.spectral import _check_resolution, max_abs, projector_leq
 from helpers import (
+    brute_value_fibers,
     infimum_oracle,
     pairwise_common_coarsening,
     pairwise_linked,
@@ -222,9 +227,9 @@ class TestApplyFunction:
         assert max_abs(by_sequence.matrix - by_mapping.matrix) < 1e-9
 
     def test_fibers_canonical(self, spin1_sx):
-        fibers, labels = value_fibers(spin1_sx, lambda x: x * x)
-        assert fibers.blocks == ((0, 2), (1,))
-        assert len(labels) == 2
+        cg = value_fibers(spin1_sx, lambda x: x * x)
+        assert cg.partition.blocks == ((0, 2), (1,))
+        assert len(cg.labels) == 2
 
     def test_partial_map_rejected(self, spin1_sx):
         with pytest.raises(InputError):
@@ -253,6 +258,50 @@ class TestApplyFunction:
         assert b.k == 2
 
 
+@lru_cache(maxsize=None)
+def diagonal_operator(k: int):
+    return from_spectral_data([float(i) for i in range(k)], [np.diag(row) for row in np.eye(k)])
+
+
+@st.composite
+def clustered_value_maps(draw):
+    """A value map on k <= 7 indices: each index takes one of a few
+    centers (in any order, -0.0 among them), moved by a small offset of
+    up to twice eps_group, so that some fibers cluster and some chains
+    are too wide."""
+    k = draw(st.integers(1, 7))
+    centers = draw(st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]) | st.floats(-10.0, 10.0, allow_subnormal=False),
+        min_size=1, max_size=k,
+    ))
+    eps = DEFAULT_TOL.eps_group
+    offsets = st.sampled_from([0.0, -0.0, eps / 3, -eps / 3, eps / 2, -eps / 2, eps, 2 * eps])
+    return [draw(st.sampled_from(centers)) + draw(offsets) for _ in range(k)]
+
+
+class TestValueFibersSecondRoute:
+    """`value_fibers` against `brute_value_fibers`, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(clustered_value_maps())
+    @example([-0.0])
+    @example([-0.0, 2.0, -0.0, 0.0])
+    def test_matches_union_find(self, values):
+        a = diagonal_operator(len(values))
+        try:
+            fibers, labels, to = brute_value_fibers(values, DEFAULT_TOL.eps_group)
+        except DegenerateClusteringError:
+            with pytest.raises(DegenerateClusteringError):
+                value_fibers(a, values)
+            return
+        cg = value_fibers(a, values)
+        assert cg.partition == fibers and cg.to == to and cg.base is a
+        assert all(type(v) is float for v in cg.labels)
+        assert np.array(cg.labels).tobytes() == np.array(labels).tobytes()
+        b = apply_function(a, values)
+        assert np.array(b.eigenvalues).tobytes() == np.array(sorted(labels)).tobytes()
+
+
 def near_hermitian_projectors(s: float = 0.45e-9) -> list[np.ndarray]:
     """The diagonal unit projectors of dimension 3, each moved off
     Hermitian by 2s (E + s (E X - X E), X = ones - I): within tau_herm
@@ -271,17 +320,20 @@ class TestDerivedOperators:
             a = rand_operator(rng, k + int(rng.integers(0, 2)), k)
             for p in all_partitions(k):
                 labels = 1.5 * rng.permutation(p.n_blocks) - 2.0
-                f = [float(labels[p.block_of(i)]) for i in range(k)]
-                order = np.argsort(labels)
-                want = from_spectral_data(
-                    [float(labels[j]) for j in order],
-                    [sum(a.projectors[i] for i in p.blocks[j]) for j in order],
-                )
-                got = apply_function(a, f)
-                assert got.eigenvalues == want.eigenvalues
-                assert all(np.array_equal(g, w) for g, w in zip(got.projectors, want.projectors, strict=True))
-                assert all(not g.flags.writeable for g in got.projectors)
-                _check_resolution(got.projectors, DEFAULT_TOL, "spectral projector")
+                for jitter in (0.0, DEFAULT_TOL.eps_group / 3):  # clustered: each fiber within eps_group
+                    f = [float(labels[p.block_of(i)] + jitter * rng.integers(-1, 2)) for i in range(k)]
+                    fibers, means, _ = brute_value_fibers(f, DEFAULT_TOL.eps_group)
+                    assert fibers == p
+                    order = np.argsort(means)
+                    want = from_spectral_data(
+                        [means[j] for j in order],
+                        [sum(a.projectors[i] for i in p.blocks[j]) for j in order],
+                    )
+                    got = apply_function(a, f)
+                    assert got.eigenvalues == want.eigenvalues
+                    assert all(np.array_equal(g, w) for g, w in zip(got.projectors, want.projectors, strict=True))
+                    assert all(not g.flags.writeable for g in got.projectors)
+                    _check_resolution(got.projectors, DEFAULT_TOL, "spectral projector")
 
     def test_audits_run_no_resolution_check(self, monkeypatch, spin1_sx, spin1_psi):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)

@@ -7,6 +7,7 @@ import itertools
 
 from sievelogic import (
     DEFAULT_TOL,
+    BaseMismatchError,
     Classification,
     DisjunctionStrength,
     GeneralizedValuation,
@@ -69,7 +70,7 @@ class TestProposition:
         with pytest.raises(InputError):
             Proposition(spin1_sx, frozenset([-1]))
 
-    @pytest.mark.parametrize("index", [1.7, 0.0, "1", None])
+    @pytest.mark.parametrize("index", [1.7, 0.0, "1", None, True])
     def test_non_integral_index_rejected(self, spin1_sx, index):
         with pytest.raises(InputError, match="is not an integer"):
             Proposition(spin1_sx, frozenset([index]))
@@ -80,7 +81,7 @@ class TestProposition:
             Proposition(spin1_sx, frozenset([index]))
 
     def test_integer_like_indices(self, spin1_sx):
-        p = Proposition(spin1_sx, [np.int64(2), 0, 2, True])
+        p = Proposition(spin1_sx, [np.int64(2), 0, 2, np.uint8(1)])
         assert p.indices == frozenset([0, 1, 2]) and p.bits == 0b111
         assert all(type(i) is int for i in p.indices)
         assert Proposition(spin1_sx, (i for i in [1])).indices == frozenset([1])
@@ -96,6 +97,10 @@ class TestProposition:
         cg = canonical_graining(spin1_sx, Partition.of([(0, 2), (1,)]))
         assert cg.partition.blocks == ((0, 2), (1,))
         assert cg.base is spin1_sx
+
+    def test_canonical_graining_checks_base_size(self, spin1_sx):
+        with pytest.raises(BaseMismatchError, match="partition of 5 indices for an operator with 3 eigenvalues"):
+            canonical_graining(spin1_sx, Partition.discrete(5))
 
 
 class TestPartialValuation:
@@ -119,7 +124,8 @@ class TestPartialValuation:
 
     def test_single_indices_checked_like_index_sets(self, spin1_sx):
         # one eigenvalue index goes through the same check as a set of them
-        for bad, text in ((1.5, "index 1.5 is not an integer"), (3, r"outside 0\.\.2"), (10**12, r"outside 0\.\.2")):
+        for bad, text in ((1.5, "index 1.5 is not an integer"), (3, r"outside 0\.\.2"), (10**12, r"outside 0\.\.2"),
+                          (True, "index True is not an integer")):
             with pytest.raises(InputError, match=text):
                 PartialValuation.maximal(spin1_sx, bad)
             with pytest.raises(InputError, match=text):
@@ -211,7 +217,7 @@ class TestStateValuation:
         assert nu.sieve_mask(spin1_sx, 0b100) == first.mask
         assert calls == []
 
-    @pytest.mark.parametrize("s", [-1, 8, 2.0, "1", None])
+    @pytest.mark.parametrize("s", [-1, 8, 2.0, "1", None, True])
     def test_sieve_mask_rejects_bad_subset(self, spin1_sx, spin1_psi, s):
         # -1 once read the last entry of the row (the full spectrum) and 8
         # raised a bare IndexError
@@ -434,6 +440,8 @@ class TestDisjunctionStrength:
             check_disjunction_strength(nu, spin1_sx, [0.9], [1.2])
         with pytest.raises(InputError, match="eigenvalue index 1.2 is not an integer"):
             check_disjunction_strength(nu, spin1_sx, [0], [1.2])
+        with pytest.raises(InputError, match="eigenvalue index True is not an integer"):
+            check_disjunction_strength(nu, spin1_sx, [True], [False])
 
 
 class TestFunctionalRule:
@@ -812,7 +820,7 @@ class TestNaturalitySecondRoute:
                 for p in all_partitions(k):
                     values = [float(rng.permutation(p.n_blocks)[p.block_of(i)]) for i in range(k)]
                     want = brute_naturality_failures(nu, a, values)
-                    labels = value_fibers(a, values)[1]
+                    labels = value_fibers(a, values).labels
                     report = check_naturality(nu, a, values)
                     assert report.checks == (1 << k) + k
                     assert report.violations == sorted(
