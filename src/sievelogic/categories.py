@@ -25,7 +25,7 @@ from .spectral import (
     SpectralOperator,
     Tolerances,
     _coarse_operator,
-    is_function_of,
+    _overlaps,
     projector_leq,
 )
 from .valuations import canonical_graining
@@ -184,8 +184,9 @@ class SectionAssignment:
 def detect_relations(
     family: Sequence[SpectralOperator], tol: Tolerances = DEFAULT_TOL
 ) -> tuple[FunctionalRelation, ...]:
-    """All pairwise functional relations within a family, by direct
-    reconstruction tests."""
+    """All pairwise functional relations within a family: family[j] is a
+    function of family[i] when their common coarsening is discrete, and
+    the table is the overlap pass's link of each projector of family[i]."""
     if not family:
         return ()
     dim = family[0].dim
@@ -193,13 +194,9 @@ def detect_relations(
         raise InputError("family members act on different dimensions")
     out = []
     for i, j in itertools.permutations(range(len(family)), 2):
-        g = is_function_of(family[j], family[i], tol)
-        if g is None:
-            continue
-        table = tuple(
-            family[j].eigenvalue_index(g[idx], tol.eps_group) for idx in range(family[i].k)
-        )
-        out.append(FunctionalRelation(i, j, table))
+        r, links = _overlaps(family[j], family[i], tol)
+        if r.n_blocks == family[j].k:
+            out.append(FunctionalRelation(i, j, tuple(links)))
     return tuple(out)
 
 

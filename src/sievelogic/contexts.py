@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import Mode, Partition, Sieve, _bits, _check_order, _image, _images, _lattice, _mask_of, _row_masks, mass_rows
+from .sieves import MAX_POSET_ATOMS, Mode, Partition, Sieve, _bits, _check_order, _image, _images, _lattice, _mask_of, _row_masks, mass_rows
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -191,7 +191,10 @@ def _node_tables(n: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], tuple
     """Per node of the n-atom poset, in lattice order: the image of each
     of the 2^n subset bitmasks (the union of the node's blocks that meet
     it: the node's column of `_images`), and the node's element masks in
-    `SubalgebraPoset.elements` order.  Only the audits build these tables."""
+    `SubalgebraPoset.elements` order.  Only the audits build these tables,
+    and past MAX_POSET_ATOMS atoms they refuse before building them."""
+    if n > MAX_POSET_ATOMS:
+        raise InputError(f"a poset audit over {n} atoms is out of reach; at most {MAX_POSET_ATOMS} atoms are supported")
     images = tuple(map(tuple, _images(n, mode).T.tolist()))
     return images, tuple(tuple(_mask_of(e, n, "atom") for e in _node_elements(w)) for w in _lattice(n, mode).parts)
 

@@ -147,6 +147,13 @@ class Partition:
 # build cold; k = 10 would hold 115975 up-set masks of 115975 bits, 1.7 GB.
 MAX_SPECTRUM = 9
 
+# The most atoms a subalgebra-poset audit takes: its tables hold each
+# node's image of every subset, and its cost grows about 13x per atom.
+# check_coarsening_axioms on a diagonal context took 1.6 s at 7 atoms and
+# 26 s at 8 (single unpinned runs, 2-core Xeon); at 9 the image table
+# alone would hold 21147 x 512 ints.
+MAX_POSET_ATOMS = 8
+
 
 def bell_number(k: int) -> int:
     """The number of set partitions of a k-element set, by the Bell
@@ -303,6 +310,8 @@ class CoarseGraining:
     def __post_init__(self):
         if len(self.labels) != self.partition.n_blocks:
             raise InputError("need exactly one label per block")
+        if any(label != label for label in self.labels):  # NaN has no rank
+            raise InputError(f"labels must not be NaN, got {self.labels}")
         rank = {label: j for j, label in enumerate(sorted(self.labels))}
         if len(rank) != len(self.labels):
             raise InputError("labels must be injective on blocks")

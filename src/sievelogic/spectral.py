@@ -27,6 +27,12 @@ from .errors import (
 from .sieves import CoarseGraining, Partition, _bits, _from_values, _image, _mask_of
 
 
+def _require_real(value, noun: str) -> None:
+    """Raise InputError unless value is a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{noun} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances; every field can be overridden and must be a
@@ -42,8 +48,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in dataclasses.asdict(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InputError(f"tolerance {name} must be a real number, got {value!r}")
+            _require_real(value, f"tolerance {name}")
             if not 0.0 <= value < math.inf:
                 raise InputError(f"tolerance {name} must be finite and non-negative, got {value!r}")
 
@@ -340,9 +345,10 @@ def _linked(stack: np.ndarray, q: np.ndarray, tol: Tolerances) -> list[int]:
     return np.flatnonzero(overlaps > tol.tau_proj).tolist() or [int(np.argmax(overlaps))]
 
 
-def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Partition:
-    """The finest partition r of a's eigenvalue indices whose block
-    projectors all lie in c's algebra.
+def _overlaps(a: SpectralOperator, c: SpectralOperator, tol: Tolerances) -> tuple[Partition, list[int]]:
+    """The one pass relating two operators' projectors: the common
+    coarsening r of a by c, and links[j], the first index of a linked
+    to c's projector Q_j.
 
     P_i(a) and Q_j(c) are joined when they overlap.  A connected
     component whose a-side and c-side projector sums agree within
@@ -355,14 +361,23 @@ def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances 
         raise InputError("operators act on different dimensions")
     stack = np.stack(a.projectors)  # memory k d^2: one row of overlaps at a time
     components: list[tuple[set[int], set[int]]] = []  # (a-indices, c-indices)
+    links: list[int] = []
     for j, q in enumerate(c.projectors):
-        ia, jc = set(_linked(stack, q, tol)), {j}
+        linked = _linked(stack, q, tol)
+        links.append(linked[0])
+        ia, jc = set(linked), {j}
         for ga, gc in [g for g in components if g[0] & ia]:
             ia, jc = ia | ga, jc | gc
         components = [g for g in components if not g[0] & ia] + [(ia, jc)]
     blocks = [ia for ia, jc in components if max_abs(a.projector(ia) - c.projector(jc)) <= tol.tau_proj]
     rest = set(range(a.k)).difference(*blocks)
-    return Partition.of(blocks + [rest] if rest else blocks)
+    return Partition.of(blocks + [rest] if rest else blocks), links
+
+
+def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Partition:
+    """The finest partition r of a's eigenvalue indices whose block
+    projectors all lie in c's algebra (see `_overlaps`)."""
+    return _overlaps(a, c, tol)[0]
 
 
 def is_function_of(
@@ -374,10 +389,8 @@ def is_function_of(
     i.e. the common coarsening of a by m is discrete; g[j] is then the
     eigenvalue of a on the block holding Q_j(m).
     """
-    if common_coarsening(a, m, tol).n_blocks != a.k:
-        return None
-    stack = np.stack(a.projectors)
-    return {j: a.eigenvalues[_linked(stack, q, tol)[0]] for j, q in enumerate(m.projectors)}
+    r, links = _overlaps(a, m, tol)
+    return None if r.n_blocks != a.k else {j: a.eigenvalues[i] for j, i in enumerate(links)}
 
 
 def coarse_grained_projector(

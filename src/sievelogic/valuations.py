@@ -54,8 +54,8 @@ from .spectral import (
     Tolerances,
     ValueMap,
     _coarse_operator,
-    _linked,
-    common_coarsening,
+    _overlaps,
+    _require_real,
     is_function_of,
     value_fibers,
 )
@@ -126,12 +126,11 @@ class PartialValuation:
 
     def _validate_consistency(self) -> None:
         # The coarse-grainings op1 and op2 share are the coarsenings of
-        # r = common_coarsening(op1, op2); the values agree on all of them
+        # their common coarsening r; the values agree on all of them
         # exactly when the r-block of a1 holds op2's assigned projector.
         for (op1, a1), (op2, a2) in itertools.combinations(self.members, 2):
-            r = common_coarsening(op1, op2, self.tol)
-            mine = r.block_of(a1)
-            held = r.block_of(_linked(np.stack(op1.projectors), op2.projectors[a2], self.tol)[0])
+            r, links = _overlaps(op1, op2, self.tol)
+            mine, held = r.block_of(a1), r.block_of(links[a2])
             if held != mine:
                 raise InconsistentAssignmentsError(
                     f"assignments conflict on a common coarse-graining of "
@@ -183,6 +182,7 @@ class GeneralizedValuation:
     def threshold(s: QuantumState, r: float, mode: Mode, tol: Tolerances = DEFAULT_TOL) -> "GeneralizedValuation":
         if s.kind != "density":
             raise InputError("thresholded valuations take a density matrix state")
+        _require_real(r, "threshold")
         if not 0.0 < r <= 1.0:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
@@ -201,12 +201,12 @@ class GeneralizedValuation:
         for c, idx in self.partial.members:
             if c.dim != a.dim:
                 continue
-            i = lattice.index.get(common_coarsening(a, c, tol))
+            r, links = _overlaps(a, c, tol)
+            i = lattice.index.get(r)
             if i is None:
                 continue  # the one-block partition without constants: empty domain
-            held = _linked(np.stack(a.projectors), c.projectors[idx], tol)[0]
             domain = np.array([lattice.up[i] >> j & 1 for j in range(len(lattice.parts))], dtype=bool)
-            bits |= mass_rows(a.k, self.mode, [float(j == held) for j in range(a.k)], cutoff) & domain
+            bits |= mass_rows(a.k, self.mode, [float(j == links[idx]) for j in range(a.k)], cutoff) & domain
         return bits
 
     def _row(self, a: SpectralOperator) -> tuple[np.ndarray, tuple[int, ...]]:

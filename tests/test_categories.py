@@ -33,6 +33,7 @@ from helpers import (
     rand_operator,
     rand_related_operator,
     rand_unitary,
+    reconstructed_function_of,
     section_ok_independent,
 )
 
@@ -238,6 +239,28 @@ class TestDetectRelations:
         tables = {(r.source, r.target): r.table for r in rels}
         assert tables[(0, 1)] == (0, 1, 2)
         assert tables[(1, 0)] == (0, 1, 2)
+
+    def test_matches_reconstruction(self):
+        # the tables read the overlap links directly; the oracle
+        # reconstructs each target on the source's eigenspaces and reads
+        # the index of each value back
+        related = 0
+        for seed in range(60):
+            rng = np.random.default_rng([23, seed])
+            dim = int(rng.integers(2, 7))
+            u = rand_unitary(rng, dim)
+            a, group = rand_related_operator(rng, u, 6)
+            family = [a] + [rand_related_operator(rng, u, 6, group)[0] for _ in range(int(rng.integers(1, 4)))]
+            want = {}
+            for i, j in itertools.permutations(range(len(family)), 2):
+                g = reconstructed_function_of(family[j], family[i])
+                if g is not None:
+                    want[(i, j)] = tuple(family[j].eigenvalue_index(g[x], 1e-8) for x in range(family[i].k))
+            got = detect_relations(family)
+            assert {(r.source, r.target): r.table for r in got} == want
+            assert [(r.source, r.target) for r in got] == sorted(want)
+            related += len(want)
+        assert related > 50
 
 
 class TestGlobalSection:

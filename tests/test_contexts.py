@@ -490,6 +490,23 @@ def node_cases(draw):
     return diag_poset(n, mode), n, mode, nodes, draw(st.sampled_from(nodes))
 
 
+class TestOversizedPoset:
+    """Past MAX_POSET_ATOMS atoms the audits refuse before building
+    their tables."""
+
+    def test_audits_refuse_nine_atoms(self):
+        poset = diag_poset(9, Mode.WITH_CONSTANTS)
+        rho = QuantumState.vector(np.eye(9)[0])
+        audits = [
+            lambda: check_coarsening_axioms(poset),
+            lambda: check_restriction_compatibility(rho, poset),
+            lambda: check_local_valuation(poset, Partition.discrete(9), {}),
+        ]
+        for audit in audits:
+            with pytest.raises(InputError, match="9 atoms"):
+                audit()
+
+
 class TestSubalgebraSecondRoute:
     """The poset and its truth values against plain-frozenset brute force."""
 

@@ -294,6 +294,18 @@ class TestCoarseGraining:
         with pytest.raises(InputError):
             CoarseGraining(Partition.of([[0], [1]]), (-0.0, 0.0), base=None)
 
+    # NaN has no place in the codomain order: ranked by position it would
+    # put 1.0 below 0.0, and two NaNs would pass the injectivity check
+    @pytest.mark.parametrize("labels", [(1.0, float("nan"), 0.0), (float("nan"), 1.0, 0.0),
+                                        (float("nan"), float("nan"), 0.0)])
+    def test_nan_label_refused(self, labels):
+        with pytest.raises(InputError, match="NaN"):
+            CoarseGraining(Partition.discrete(3), labels, base=None)
+
+    def test_infinite_labels_ranked(self):
+        f = CoarseGraining(Partition.discrete(3), (float("inf"), float("-inf"), 0.0), base=None)
+        assert f.to == (2, 0, 1)
+
     def test_value_and_image(self):
         f = CoarseGraining(Partition.of([[0, 2], [1]]), (1.0, 0.0), base=None)
         assert f.value_at(0) == 1.0 and f.value_at(1) == 0.0

@@ -415,9 +415,9 @@ class TestIsFunctionOf:
 
 class TestBatchedOverlapsSecondRoute:
     """`_linked` overlaps a projector with an operator's whole stack of
-    projectors in one batched product, and `common_coarsening` stacks
-    once per call; one product per pair gives the same links and the
-    same partition."""
+    projectors in one batched product, and `_overlaps` stacks once per
+    call; one product per pair gives the same links, the same first link
+    per projector and the same partition."""
 
     # at tau_proj = 2 no overlap of two projectors exceeds it, so every
     # projector is linked through the argmax fallback
@@ -437,7 +437,9 @@ class TestBatchedOverlapsSecondRoute:
                     assert spectral._linked(stack, q, tol) == pairwise_linked(x, q, tau_proj)
                     linked += 1
                     fallbacks += all(max_abs(p @ q) <= tau_proj for p in x.projectors)
-                assert common_coarsening(x, y, tol) == pairwise_common_coarsening(x, y, tol)
+                r, links = spectral._overlaps(x, y, tol)
+                assert links == [pairwise_linked(x, q, tau_proj)[0] for q in y.projectors]
+                assert r == common_coarsening(x, y, tol) == pairwise_common_coarsening(x, y, tol)
         if tau_proj > 1:
             assert fallbacks == linked
 

@@ -354,6 +354,17 @@ class TestThresholdValuation:
         with pytest.raises(InputError):
             GeneralizedValuation.threshold(spin1_psi, 0.5, Mode.WITH_CONSTANTS)
 
+    # the rule of `Tolerances`: a real number, not a bool
+    @pytest.mark.parametrize("r", [True, "0.5", None, float("nan")])
+    def test_r_not_a_real_refused(self, r):
+        rho = QuantumState.density(np.eye(3) / 3)
+        with pytest.raises(InputError, match="threshold"):
+            GeneralizedValuation.threshold(rho, r, Mode.WITH_CONSTANTS)
+
+    def test_r_numpy_real_accepted(self):
+        rho = QuantumState.density(np.eye(3) / 3)
+        assert GeneralizedValuation.threshold(rho, np.float64(0.5), Mode.WITH_CONSTANTS).r == 0.5
+
     def test_r_one_equals_state_valuation(self, spin1_sx, spin1_psi):
         rho = QuantumState.density(spin1_psi.density_matrix())
         nu1 = GeneralizedValuation.threshold(rho, 1.0, Mode.WITH_CONSTANTS)
