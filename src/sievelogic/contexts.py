@@ -15,9 +15,9 @@ coarse-graining has probability one.
 The poset is the interned partition lattice of `sieves`: a node is a bit
 index, its down set is its up-set mask, and a truth value is a mask
 inside that down set.  The audits run on subset bitmasks (bit j = top
-atom j), reading the image table and the `mass_rows` kernel of `sieves`
-(one row of sieve masks per state and cutoff); the local valuation
-axioms share their routine with `valuations`.
+atom j), reading the image table and the `subset_masses` / `mass_rows`
+kernel of `sieves` (one row of sieve masks per state and cutoff); the
+local valuation axioms share their routine with `valuations`.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report
-from .sieves import MAX_POSET_ATOMS, Mode, Partition, Sieve, _bits, _check_order, _image, _images, _lattice, _mask_of, _row_masks, mass_rows
+from .sieves import MAX_POSET_ATOMS, Mode, Partition, Sieve, _bits, _check_order, _image, _images, _lattice, _mask_of, _row_masks, mass_rows, subset_masses
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -153,9 +153,11 @@ class SubalgebraPoset:
 
     def _row(self, rho: QuantumState, cutoff: float) -> tuple[int, ...]:
         """The sieve mask of every subset bitmask under the state's atom
-        weights, one `mass_rows` per (state, cutoff), kept like the weights."""
+        weights: their `subset_masses` through one `mass_rows` per (state,
+        cutoff), kept like the weights."""
         if (rho, cutoff) not in self._rows:
-            self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, self.weights(rho), cutoff))
+            masses = subset_masses(self.weights(rho))
+            self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, masses, cutoff))
         return self._rows[rho, cutoff]
 
     def node_context(self, w: Partition) -> BooleanContext:

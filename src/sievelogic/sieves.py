@@ -12,9 +12,10 @@ of its (k, mode).  `_lattice`, the one enumerator, builds them from
 restricted-growth codes and interns them once in sorted order, with
 the up-set mask of each; lattice operations are bit operations and
 pullbacks are code lookups.  The valuations' sieves come from one
-kernel, `mass_rows`: the sieves of all 2^k subsets as a bool matrix,
-the subset masses compared with the cutoff and gathered through one
-image table per (k, mode).  Only these import numpy, when called.
+kernel in two pieces: `subset_masses` sums the mass of every subset,
+and `mass_rows` compares those masses with a cutoff and gathers the
+verdicts through one image table per (k, mode) into the sieves of all
+2^k subsets as a bool matrix.  Only these import numpy, when called.
 
 Two regimes are supported and must always be chosen explicitly:
 WITH_CONSTANTS admits the one-block partition (constant functions count
@@ -536,23 +537,30 @@ def _images(k: int, mode: Mode):
     return images
 
 
-def mass_rows(k: int, mode: Mode, weights: Sequence[float], cutoff: float):
-    """The sieve kernel: the 2^k x |lattice| bool matrix whose row s is
-    the sieve mask, as bits, of the admissible partitions whose blocks
-    meeting subset bitmask s carry weight at least `cutoff`.  It compares
-    every subset bitmask's weight, m[s] = m[s ^ h] + w[h] for the highest
-    bit h of s (terms add in ascending index order from 0), with the
-    cutoff, then gathers the verdicts through the image table.  Weights
-    are clamped at 0 (a density matrix may have eigenvalues down to
-    -tau_psd): a float sum of non-negative terms never shrinks as terms
-    are added, so coarser partitions keep the mass."""
+def subset_masses(weights: Sequence[float]):
+    """The mass of every subset bitmask of the indices of `weights`, as a
+    float array: m[s] = m[s ^ h] + w[h] for the highest bit h of s (terms
+    add in ascending index order from 0).  Weights are clamped at 0 (a
+    density matrix may have eigenvalues down to -tau_psd): a float sum of
+    non-negative terms never shrinks as terms are added, so coarser
+    partitions keep the mass."""
     import numpy as np
 
-    masses = [0]
+    masses = [0.0]
     for w in weights:
         w = max(w, 0.0)
         masses += [m + w for m in masses]
-    return (np.array(masses) >= cutoff)[_images(k, mode)]
+    return np.array(masses)
+
+
+def mass_rows(k: int, mode: Mode, masses, cutoff: float):
+    """The sieve kernel: the 2^k x |lattice| bool matrix whose row s is
+    the sieve mask, as bits, of the admissible partitions whose blocks
+    meeting subset bitmask s carry mass at least `cutoff`.  `masses` is a
+    float array of the mass of every subset bitmask (`subset_masses`);
+    each is compared with the cutoff once, and the verdicts are gathered
+    through the image table."""
+    return (masses >= cutoff)[_images(k, mode)]
 
 
 def _row_masks(bits) -> tuple[int, ...]:

@@ -13,14 +13,18 @@ Three construction families are provided:
   one after coarse-graining;
 * thresholded on a density matrix: probability at least r suffices.
 
-Every family runs through one kernel, `sieves.mass_rows`: the sieves of
-all 2^k subsets of an operator's spectrum as one bit matrix, cut to a
-domain.  A state has its weights on the whole lattice; a partial
-valuation ORs one matrix per member, on the up-set of r, the common
-coarsening of the operator by the member, with the indicator of the
-r-block holding the member's assigned eigenprojector as weights.
-Results depend only on the fiber partition of a coarse-graining and
-never on its labels.
+Every family runs through one kernel, `sieves.subset_masses` and
+`sieves.mass_rows`: the sieves of all 2^k subsets of an operator's
+spectrum as one bit matrix, cut to a domain.  It reads the operator's
+own data, computed once: a state's subset masses, or per member of a
+partial valuation, r, the common coarsening of the operator by the
+member, and the index linked to the member's assigned eigenprojector (a
+partial valuation ORs one matrix per member, on the up-set of r, with
+the indicator of that index as weights).  A coarse-graining f(a) is read
+from a's data too, masses at preimages and r and the link pushed through
+f, so the naturality audit checks the presheaf law exactly and builds no
+f(a) from projectors; the tests keep that route.  Results depend only on
+the fiber partition of a coarse-graining and never on its labels.
 """
 from __future__ import annotations
 
@@ -40,12 +44,14 @@ from .sieves import (
     Partition,
     Sieve,
     _bits,
+    _canonical,
     _check_order,
     _lattice,
     _mask_of,
     _pullback_table,
     _row_masks,
     mass_rows,
+    subset_masses,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -53,7 +59,6 @@ from .spectral import (
     SpectralOperator,
     Tolerances,
     ValueMap,
-    _coarse_operator,
     _overlaps,
     _require_real,
     is_function_of,
@@ -168,7 +173,7 @@ class GeneralizedValuation:
         self.state = state
         self.r = float(r)
         self.tol = tol
-        self._rows: dict = {}  # per operator, its `_matrix` and the matrix's rows as masks
+        self._rows: dict = {}  # per operator: [its `_data`, its `_matrix`, the matrix's rows as masks]
 
     @staticmethod
     def from_partial(v: PartialValuation, mode: Mode, tol: Tolerances = DEFAULT_TOL) -> "GeneralizedValuation":
@@ -187,34 +192,61 @@ class GeneralizedValuation:
             raise InputError("threshold must lie in (0, 1]")
         return GeneralizedValuation("threshold", mode, state=s, r=r, tol=tol)
 
-    def _matrix(self, a: SpectralOperator) -> np.ndarray:
-        """The 2^k x |lattice| bit matrix of a's sieves: row s is the
-        sieve of "a in s" for the subset bitmask s.  A state's is one
-        `mass_rows`; a partial valuation ORs one per member, cut to the
-        member's domain, which is decided under its own tolerances."""
+    def _data(self, a: SpectralOperator):
+        """a's own data, computed once and kept first in a's `_rows`
+        entry: a state's `subset_masses` on a's spectrum; for a partial
+        valuation, per member acting on a's space, the common coarsening
+        r of a by the member and the index of a linked to the member's
+        assigned projector, from one `_overlaps` pass under the partial
+        valuation's own tolerances."""
+        entry = self._rows.setdefault(a, [None, None, None])
+        if entry[0] is None:
+            if self.kind != "partial":
+                entry[0] = subset_masses(self.state.weights(a.projectors))
+            else:
+                entry[0] = []
+                for c, idx in self.partial.members:
+                    if c.dim == a.dim:
+                        r, links = _overlaps(a, c, self.partial.tol)
+                        entry[0].append((r, links[idx]))
+        return entry[0]
+
+    def _matrix(self, a: SpectralOperator, cg: Optional[CoarseGraining] = None) -> np.ndarray:
+        """The 2^k x |lattice| bit matrix of the sieves of cg(a), or of a
+        when cg is None, with k the size of that spectrum: row s is the
+        sieve of "cg(a) in s" for the subset bitmask s.  It is read from
+        a's `_data`, through the index map `to` of cg (the identity when
+        cg is None).  A state's is one `mass_rows` on a's mass at the
+        preimage of each s.  A partial valuation ORs one per member, on
+        the up-set of the member's coarsening r pushed through `to`, with
+        the indicator of the image of the member's link as weights."""
+        to = range(a.k) if cg is None else cg.to
+        k = max(to) + 1
         cutoff = self.r - self.tol.tau_one
+        data = self._data(a)
         if self.kind != "partial":
-            return mass_rows(a.k, self.mode, self.state.weights(a.projectors), cutoff)
-        lattice = _lattice(a.k, self.mode)
-        tol = self.partial.tol
-        bits = np.zeros((1 << a.k, len(lattice.parts)), dtype=bool)
-        for c, idx in self.partial.members:
-            if c.dim != a.dim:
-                continue
-            r, links = _overlaps(a, c, tol)
-            i = lattice.index.get(r)
+            fibers = [0] * k
+            for i, j in enumerate(to):
+                fibers[j] |= 1 << i
+            return mass_rows(k, self.mode, data[_unions(fibers)], cutoff)
+        lattice = _lattice(k, self.mode)
+        bits = np.zeros((1 << k, len(lattice.parts)), dtype=bool)
+        for r, link in data:
+            i = lattice.codes.get(_pushed(r, to))
             if i is None:
                 continue  # the one-block partition without constants: empty domain
             domain = np.array([lattice.up[i] >> j & 1 for j in range(len(lattice.parts))], dtype=bool)
-            bits |= mass_rows(a.k, self.mode, [float(j == links[idx]) for j in range(a.k)], cutoff) & domain
+            bits |= mass_rows(k, self.mode, subset_masses([float(j == to[link]) for j in range(k)]), cutoff) & domain
         return bits
 
     def _row(self, a: SpectralOperator) -> tuple[np.ndarray, tuple[int, ...]]:
-        """a's `_matrix` and its rows as sieve masks, built once per operator."""
-        if a not in self._rows:
+        """a's `_matrix` and its rows as sieve masks, built once per
+        operator and kept in a's `_rows` entry after its data."""
+        entry = self._rows.setdefault(a, [None, None, None])
+        if entry[1] is None:
             bits = self._matrix(a)
-            self._rows[a] = (bits, _row_masks(bits))
-        return self._rows[a]
+            entry[1:] = bits, _row_masks(bits)
+        return entry[1], entry[2]
 
     def sieve_mask(self, a: SpectralOperator, s: int) -> int:
         """The sieve mask of the proposition that a's value lies in the
@@ -227,18 +259,41 @@ class GeneralizedValuation:
         return Sieve._of_mask(p.operator.k, self.mode, self.sieve_mask(p.operator, p.bits))
 
 
+def _unions(parts: Sequence[int]) -> list[int]:
+    """Per subset bitmask s of the indices of parts, the OR of parts[h]
+    over the bits h of s: u[s] = u[s ^ h] | parts[h] for the highest bit h."""
+    unions = [0]
+    for part in parts:
+        unions += [m | part for m in unions]
+    return unions
+
+
+def _pushed(r: Partition, to: Sequence[int]) -> tuple[int, ...]:
+    """The restricted-growth code of r pushed through a surjective index
+    map: the finest partition of the codomain in which the image of each
+    of r's blocks lies in one block (images that meet are merged)."""
+    groups: list[set[int]] = []
+    for block in r.blocks:
+        image = {to[i] for i in block}
+        joined = [g for g in groups if g & image]
+        groups = [g for g in groups if not g & image] + [image.union(*joined)]
+    label = {j: n for n, g in enumerate(groups) for j in g}
+    return _canonical(label[j] for j in range(len(label)))
+
+
 def _failed_squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap) -> tuple[CoarseGraining, np.ndarray]:
-    """The coarse-graining of a by f, and per subset bitmask s whether
-    the sieve of "f(a) in f(s)" differs from the pullback of the sieve
+    """The coarse-graining cg of a by f, and per subset bitmask s whether
+    the sieve of "cg(a) in f(s)" differs from the pullback of the sieve
     of "a in s": a column gather of a's bit matrix through
-    `_pullback_table` against a row gather of f(a)'s at the images f(s).
-    f(a) is a new operator on every call, so its matrix is not kept."""
+    `_pullback_table` against a row gather, at the images f(s), of
+    cg(a)'s matrix built on the codomain lattice from a's own masses or
+    links (`_matrix(a, cg)`).  That is the presheaf law, checked exactly;
+    no coarse operator is built, no trace taken and no overlap pass run
+    per square, so whether f(a)'s projectors give the same masses and
+    links is left to the tests.  cg(a)'s matrix is not kept."""
     cg = value_fibers(a, f, nu.tol)
-    images = [0]  # images[s] = images[s ^ h] | f(h) for the highest bit h of s
-    for j in cg.to:
-        images += [m | 1 << j for m in images]
     pullbacks = nu._row(a)[0][:, _pullback_table(cg.to, nu.mode)]
-    return cg, (pullbacks != nu._matrix(_coarse_operator(a, cg))[images]).any(axis=1)
+    return cg, (pullbacks != nu._matrix(a, cg)[_unions([1 << j for j in cg.to])]).any(axis=1)
 
 
 class DisjunctionStrength(Enum):

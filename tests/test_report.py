@@ -103,9 +103,10 @@ def test_local_valuation_text():
 class _Singletons(GeneralizedValuation):
     """Broken on purpose: exactly the one-element subsets are true."""
 
-    def _matrix(self, a):
-        full = Sieve.totally_true(a.k, self.mode).mask
-        return bit_rows(a.k, self.mode, [full if bin(s).count("1") == 1 else 0 for s in range(1 << a.k)])
+    def _matrix(self, a, cg=None):
+        k = a.k if cg is None else cg.codomain_size
+        full = Sieve.totally_true(k, self.mode).mask
+        return bit_rows(k, self.mode, [full if bin(s).count("1") == 1 else 0 for s in range(1 << k)])
 
 
 class _OnlyOn(GeneralizedValuation):
@@ -115,9 +116,10 @@ class _OnlyOn(GeneralizedValuation):
         super().__init__(*args, **kwargs)
         self.op = op
 
-    def _matrix(self, a):
-        full = Sieve.totally_true(a.k, self.mode).mask
-        return bit_rows(a.k, self.mode, [full if a is self.op and s else 0 for s in range(1 << a.k)])
+    def _matrix(self, a, cg=None):
+        k = a.k if cg is None else cg.codomain_size
+        full = Sieve.totally_true(k, self.mode).mask
+        return bit_rows(k, self.mode, [full if cg is None and a is self.op and s else 0 for s in range(1 << k)])
 
 
 def test_axioms_text():

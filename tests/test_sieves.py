@@ -28,7 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import _image, _images, _lattice, _mask_of, _pullback_table, _row_masks, mass_rows
+from sievelogic.sieves import _image, _images, _lattice, _mask_of, _pullback_table, _row_masks, mass_rows, subset_masses
 from helpers import (
     brute_admissible,
     brute_classify,
@@ -529,7 +529,7 @@ class TestKernelClosure:
         built = [
             sa.meet(sb), sa.join(sb), sa.implies(sb), sa.neg(),
             sa.pullback(data.draw(grainings(k))),
-            Sieve._of_mask(k, mode, _row_masks(mass_rows(k, mode, weights, cutoff))[sum(1 << i for i in delta)]),
+            Sieve._of_mask(k, mode, _row_masks(mass_rows(k, mode, subset_masses(weights), cutoff))[sum(1 << i for i in delta)]),
         ]
         for s in built:
             assert brute_up_set(s.k, mode, s.partitions) == s.partitions
@@ -559,7 +559,7 @@ class TestMassRowsSecondRoute:
         clamped = [max(w, 0.0) for w in weights]
         chosen = [i for i in range(k) if rng.random() < 0.5] or [0]
         for cutoff in (sum(clamped[i] for i in chosen), sum(clamped) - DEFAULT_TOL.tau_one):
-            rows = mass_rows(k, mode, weights, cutoff)
+            rows = mass_rows(k, mode, subset_masses(weights), cutoff)
             parts = sorted(admissible_partitions(k, mode))
             for s, row in enumerate(rows.tolist()):
                 delta = [i for i in range(k) if s >> i & 1]
