@@ -262,18 +262,23 @@ def _check_order(report: Report, elements: Sequence[int], sieves: Sequence[int],
     ))
 
 
+def _index(i, noun: str) -> int:
+    """An index as an int; a bool or a non-integer raises InputError."""
+    try:
+        if isinstance(i, bool):  # operator.index reads True as 1
+            raise TypeError
+        return operator.index(i)
+    except TypeError:
+        raise InputError(f"{noun} index {i!r} is not an integer") from None
+
+
 def _mask_of(indices: Iterable[int], k: int, noun: str) -> int:
     """The bitmask of a set of indices in 0..k-1 (bit i = index i); a
     repeated index sets its bit once.  Each index is range-checked before
     it is shifted, so a huge index costs no huge int."""
     mask = 0
     for i in indices:
-        try:
-            if isinstance(i, bool):  # operator.index reads True as 1
-                raise TypeError
-            j = operator.index(i)
-        except TypeError:
-            raise InputError(f"{noun} index {i!r} is not an integer") from None
+        j = i if type(i) is int else _index(i, noun)
         if not 0 <= j < k:
             raise InputError(f"{noun} index outside 0..{k - 1}")
         mask |= 1 << j

@@ -13,8 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     NotHermitianError,
     ZeroNormError,
 )
-from .sieves import CoarseGraining, Partition, _bits, _from_values, _image, _mask_of
+from .sieves import CoarseGraining, Partition, _bits, _from_values, _image, _index, _mask_of
 
 
 def _require_real(value, noun: str) -> None:
@@ -62,7 +63,7 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-ValueMap = Union[Callable[[float], float], Mapping[int, float], Sequence[float]]
+ValueMap = Union[Callable[[float], float], abc.Mapping[int, float], Sequence[float]]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -166,9 +167,18 @@ def cluster_values(values: Sequence[float], eps: float) -> list[list[int]]:
 
 
 def _fiber_value(values: Sequence[float]) -> float:
-    """The mean of a cluster of values; for one value, that value plus
-    0.0, bit-identical to the mean (both turn -0.0 into 0.0)."""
-    return values[0] + 0.0 if len(values) == 1 else float(np.mean(values))
+    """The mean of a cluster of values, bit-identical to `np.mean`.
+    Below 8 values numpy's float64 sum adds left to right from 0.0 (so a
+    lone -0.0 becomes 0.0), which one loop repeats without a numpy call;
+    from 8 values on numpy keeps 8 partial sums, so `np.mean` is called
+    (`decompose` can cluster that many raw eigenvalues).  Not the builtin
+    `sum`: since Python 3.12 it compensates float rounding."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _finite_reals(values: Iterable, what: str) -> tuple[float, ...]:
@@ -180,7 +190,7 @@ def _finite_reals(values: Iterable, what: str) -> tuple[float, ...]:
         raise InputError(f"expected a sequence of {what}s, got {values!r}") from None
     for i, v in enumerate(values):
         try:
-            ok = isinstance(v, numbers.Real) and math.isfinite(v)
+            ok = (type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v)
         except OverflowError:  # an int beyond the float range
             ok = False
         if not ok:
@@ -292,11 +302,12 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
     """
     if callable(f):
         values = [f(v) for v in a.eigenvalues]
-    elif isinstance(f, Mapping):
-        missing = set(range(a.k)) - set(f)
+    elif isinstance(f, abc.Mapping):
+        keys = [_index(i, "value map") for i in f]
+        missing = set(range(a.k)).difference(keys)
         if missing:
             raise InputError(f"value map missing indices {sorted(missing)}")
-        extra = [i for i in f if i not in range(a.k)]
+        extra = [i for i in keys if not 0 <= i < a.k]
         if extra:
             raise InputError(f"value map index {extra[0]!r} outside 0..{a.k - 1}")
         values = [f[i] for i in range(a.k)]
@@ -309,8 +320,9 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
 
 def value_fibers(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> CoarseGraining:
     """The coarse-graining of a's eigenvalue indices by f: each value is
-    replaced by its cluster's `_fiber_value`, and `_from_values` groups the
-    indices into fibers, in canonical block order, labeled by those values."""
+    replaced by its cluster's `_fiber_value` (the mean, bit-identical to
+    `np.mean`), and `_from_values` groups the indices into fibers, in
+    canonical block order, labeled by those values."""
     values = normalize_value_map(a, f)
     snapped = list(values)
     for g in cluster_values(values, tol.eps_group):

@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,18 +218,16 @@ class GeneralizedValuation:
         sieve of "cg(a) in s" for the subset bitmask s.  It is read from
         a's `_data`, through the index map `to` of cg (the identity when
         cg is None).  A state's is one `mass_rows` on a's mass at the
-        preimage of each s.  A partial valuation ORs one per member, on
-        the up-set of the member's coarsening r pushed through `to`, with
-        the indicator of the image of the member's link as weights."""
-        to = range(a.k) if cg is None else cg.to
+        preimage of each s, read from `to`'s `_gathers` record.  A partial
+        valuation ORs one per member, on the up-set of the member's
+        coarsening r pushed through `to`, with the indicator of the image
+        of the member's link as weights."""
+        to = tuple(range(a.k)) if cg is None else cg.to
         k = max(to) + 1
         cutoff = self.r - self.tol.tau_one
         data = self._data(a)
         if self.kind != "partial":
-            fibers = [0] * k
-            for i, j in enumerate(to):
-                fibers[j] |= 1 << i
-            return mass_rows(k, self.mode, data[_unions(fibers)], cutoff)
+            return mass_rows(k, self.mode, data[_gathers(to, self.mode).preimages], cutoff)
         lattice = _lattice(k, self.mode)
         bits = np.zeros((1 << k, len(lattice.parts)), dtype=bool)
         for r, link in data:
@@ -268,6 +267,30 @@ def _unions(parts: Sequence[int]) -> list[int]:
     return unions
 
 
+class _Gathers(NamedTuple):
+    """The index arrays a naturality square along a surjective index map
+    `to` reads, as read-only np.intp: its `_pullback_table`, and per
+    subset bitmask the image f(s) and the preimage f^-1(T)."""
+
+    pullback: np.ndarray
+    images: np.ndarray
+    preimages: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _gathers(to: tuple[int, ...], mode: Mode) -> _Gathers:
+    """The `_Gathers` record of (to, mode), built once, so that no square
+    converts an index list or runs `_unions`."""
+    fibers = [0] * (max(to) + 1)
+    for i, j in enumerate(to):
+        fibers[j] |= 1 << i
+    tables = (_pullback_table(to, mode), _unions([1 << j for j in to]), _unions(fibers))
+    record = _Gathers(*(np.array(table, dtype=np.intp) for table in tables))
+    for table in record:
+        table.setflags(write=False)
+    return record
+
+
 def _pushed(r: Partition, to: Sequence[int]) -> tuple[int, ...]:
     """The restricted-growth code of r pushed through a surjective index
     map: the finest partition of the codomain in which the image of each
@@ -284,16 +307,20 @@ def _pushed(r: Partition, to: Sequence[int]) -> tuple[int, ...]:
 def _failed_squares(nu: GeneralizedValuation, a: SpectralOperator, f: ValueMap) -> tuple[CoarseGraining, np.ndarray]:
     """The coarse-graining cg of a by f, and per subset bitmask s whether
     the sieve of "cg(a) in f(s)" differs from the pullback of the sieve
-    of "a in s": a column gather of a's bit matrix through
-    `_pullback_table` against a row gather, at the images f(s), of
-    cg(a)'s matrix built on the codomain lattice from a's own masses or
-    links (`_matrix(a, cg)`).  That is the presheaf law, checked exactly;
-    no coarse operator is built, no trace taken and no overlap pass run
-    per square, so whether f(a)'s projectors give the same masses and
-    links is left to the tests.  cg(a)'s matrix is not kept."""
+    of "a in s": a column gather of a's bit matrix through the pullback
+    table against a row gather, at the images f(s), of cg(a)'s matrix
+    built on the codomain lattice from a's own masses or links
+    (`_matrix(a, cg)`).  Both index arrays, and the preimages `_matrix`
+    reads masses at, come from the one cached `_gathers` record of
+    cg.to, so a square converts no index list.  That is the presheaf
+    law, checked exactly; no coarse operator is built, no trace taken
+    and no overlap pass run per square, so whether f(a)'s projectors
+    give the same masses and links is left to the tests.  cg(a)'s
+    matrix is not kept."""
     cg = value_fibers(a, f, nu.tol)
-    pullbacks = nu._row(a)[0][:, _pullback_table(cg.to, nu.mode)]
-    return cg, (pullbacks != nu._matrix(a, cg)[_unions([1 << j for j in cg.to])]).any(axis=1)
+    gathers = _gathers(cg.to, nu.mode)
+    pullbacks = nu._row(a)[0][:, gathers.pullback]
+    return cg, (pullbacks != nu._matrix(a, cg)[gathers.images]).any(axis=1)
 
 
 class DisjunctionStrength(Enum):

@@ -239,6 +239,18 @@ class TestApplyFunction:
         with pytest.raises(InputError, match="index 7 outside 0..1"):
             apply_function(spinh_sz, {0: 1.0, 1: 2.0, 7: 3.0})
 
+    @pytest.mark.parametrize("f, key", [
+        ({0: 5.0, True: 7.0}, "True"),
+        ({0: 5.0, 1.0: 7.0}, "1.0"),
+    ])
+    def test_key_not_an_integer_rejected(self, spinh_sz, f, key):
+        with pytest.raises(InputError, match=f"^value map index {key} is not an integer$"):
+            value_fibers(spinh_sz, f)
+
+    def test_numpy_integer_keys_accepted(self, spinh_sz):
+        cg = value_fibers(spinh_sz, {np.int64(0): 5.0, np.int64(1): 7.0})
+        assert cg.labels == (5.0, 7.0) and cg.to == (0, 1)
+
     @pytest.mark.parametrize("f, index", [
         (["x", 1.0], 0),
         ([1j, 2.0], 0),
@@ -300,6 +312,40 @@ class TestValueFibersSecondRoute:
         assert np.array(cg.labels).tobytes() == np.array(labels).tobytes()
         b = apply_function(a, values)
         assert np.array(b.eigenvalues).tobytes() == np.array(sorted(labels)).tobytes()
+
+
+def fiber_clusters():
+    """Clusters of 1 to 12 values on which float sums round: repeated
+    0.1 (the mean of three is not 0.1), signed zeros, 1e16 with offsets
+    below its spacing, and spreads within eps_group."""
+    eps = DEFAULT_TOL.eps_group
+    for n in range(1, 13):
+        yield [0.1] * n
+        yield [-0.0] * n
+        yield [(-0.0, 0.0)[i % 2] for i in range(n)]
+        yield [1e16] + [1.0] * (n - 1)
+        yield [1e16 + (-1.0) ** i * 2.0 for i in range(n)] + [0.5]
+        yield [0.7 + i * eps / 12 for i in range(n)]
+        yield [-3.3 + (-1.0) ** i * eps / 3 for i in range(n)]
+
+
+class TestFiberValue:
+    """`_fiber_value` is `np.mean`, bit for bit."""
+
+    def test_matches_numpy_mean(self):
+        for values in fiber_clusters():
+            got = spectral._fiber_value(values)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == np.array([np.mean(values)]).tobytes(), values
+
+    def test_ten_fold_eigenvalue(self):
+        # ten raw eigenvalues within eps_group: a left-to-right sum of
+        # these rounds differently from numpy's eight partial sums
+        m = np.diag([0.7 + j * 1e-10 for j in range(10)] + [2.0])
+        raw = np.linalg.eigh(spectral.require_hermitian(spectral.as_matrix(m), DEFAULT_TOL.tau_herm))[0]
+        a = decompose(m)
+        assert a.k == 2
+        assert np.array(a.eigenvalues[:1]).tobytes() == np.array([np.mean(raw[:10])]).tobytes()
 
 
 def near_hermitian_projectors(s: float = 0.45e-9) -> list[np.ndarray]:

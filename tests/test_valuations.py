@@ -35,6 +35,7 @@ from sievelogic import (
     from_spectral_data,
     is_function_of,
     prob,
+    sieves,
     spectral,
     spectral_algebra,
     valuation_sieve,
@@ -790,6 +791,40 @@ class TestNaturality:
             psi = rand_vector_state(rng, dim)
             mode = Mode.WITH_CONSTANTS if rng.random() < 0.5 else Mode.WITHOUT_CONSTANTS
             assert check_naturality(GeneralizedValuation.from_state(psi, mode), a, f).ok
+
+
+class TestGathersRecord:
+    """The cached `_gathers` record of an index map: the same index
+    arrays as the tables it is read from, read-only, keyed on `to`."""
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_tables(self, k, mode):
+        maps = [to for to in itertools.product(range(k), repeat=k) if set(to) == set(range(max(to) + 1))]
+        for to in maps:  # every surjective map, so maps with equal fibers follow each other
+            fibers = [sum(1 << i for i in range(k) if to[i] == j) for j in range(max(to) + 1)]
+            record = valuations._gathers(to, mode)
+            want = (
+                sieves._pullback_table(to, mode),
+                valuations._unions([1 << j for j in to]),
+                valuations._unions(fibers),
+            )
+            for table, expected in zip(record, want):
+                assert table.dtype == np.intp and table.tolist() == list(expected)
+                assert not table.flags.writeable
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    def test_reversed_labels(self, mode):
+        """Two maps with the same fibers in opposite label order: their
+        `to` differ, and so must their records."""
+        rng = np.random.default_rng(29)
+        a = rand_operator(rng, 4, 3)
+        for nu in (
+            GeneralizedValuation.from_state(rand_vector_state(rng, 4), mode),
+            GeneralizedValuation.from_partial(PartialValuation.maximal(a, 1), mode),
+        ):
+            for values in ([0.0, 1.0, 0.0], [1.0, 0.0, 1.0]):
+                assert check_naturality(nu, a, values).ok
 
 
 class _Scrambled(GeneralizedValuation):
