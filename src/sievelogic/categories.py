@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .contexts import BooleanContext
 from .errors import InputError, NotSubalgebraError
-from .ks_search import ContextFamily, search_dual_section
+from .ks_search import ContextFamily, context_operator, search_dual_section
 from .report import Report
 from .sieves import CoarseGraining, Mode, Partition, _from_values, _lattice, _mask_of
 from .spectral import (
@@ -26,6 +26,7 @@ from .spectral import (
     Tolerances,
     _coarse_operator,
     _overlaps,
+    is_function_of,
     projector_leq,
 )
 from .valuations import canonical_graining
@@ -105,21 +106,15 @@ class TwoValuedHom:
 
 
 def restrict_hom(chi: TwoValuedHom, sub: BooleanContext, tol: Tolerances = DEFAULT_TOL) -> TwoValuedHom:
-    """Restrict a two-valued homomorphism to a subalgebra: the new chosen
-    atom is the unique subalgebra atom dominating the old one."""
-    big = chi.context
-    if sub.dim != big.dim:
+    """Restrict a two-valued homomorphism to a subalgebra: the subalgebra
+    atom dominating the chosen one, named by the value map that makes
+    sub's context operator a function of the larger context's."""
+    if sub.dim != chi.context.dim:
         raise NotSubalgebraError("contexts act on different dimensions")
-    for j, q in enumerate(sub.atoms):
-        covered = [p for p in big.atoms if projector_leq(p, q, tol.tau_proj)]
-        delta = q - sum(covered) if covered else q
-        if abs(delta).max() > tol.tau_proj:
-            raise NotSubalgebraError(f"atom {j} is not a sum of the larger context's atoms")
-    chosen = big.atoms[chi.chosen_atom]
-    hits = [j for j, q in enumerate(sub.atoms) if projector_leq(chosen, q, tol.tau_proj)]
-    if len(hits) != 1:
-        raise NotSubalgebraError("chosen atom is not dominated by exactly one subalgebra atom")
-    return TwoValuedHom(sub, hits[0])
+    table = is_function_of(context_operator(sub), context_operator(chi.context), tol)
+    if table is None:
+        raise NotSubalgebraError("an atom is not a sum of the larger context's atoms")
+    return TwoValuedHom(sub, int(table[chi.chosen_atom]))
 
 
 def check_indicator_naturality(a: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Report:

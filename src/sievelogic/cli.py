@@ -140,12 +140,6 @@ def _matrix_out(m: np.ndarray) -> list:
     return [[_num_out(z) for z in row] for row in np.asarray(m)]
 
 
-def _vector_out(v: np.ndarray) -> list:
-    import numpy as np
-
-    return [_num_out(z) for z in np.asarray(v).reshape(-1)]
-
-
 def _fmt(v: float, digits: int = 6) -> str:
     # %g trims relative float noise; snap absolute noise near zero too
     if abs(v) < 1e-12:
@@ -271,7 +265,7 @@ def dump_system(system: SystemData) -> str:
     }
     def _state_out(s: QuantumState) -> dict:
         if s.kind == "vector":
-            return {"vector": _vector_out(s.payload)}
+            return {"vector": _matrix_out([s.payload])[0]}
         return {s.kind: _matrix_out(s.payload)}
     data["states"] = {name: _state_out(s) for name, s in system.states.items()}
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -406,11 +400,6 @@ def parse_proposition(
         return name, Proposition.by_values(op, values, system.tol.eps_group)
 
 
-def _sieve_lines(sieve: Sieve, values) -> list[str]:
-    fmt = _formatter(values)
-    return [p.format(values, fmt) for p in sieve]
-
-
 def _sieve_json(sieve: Sieve) -> dict:
     return {
         "mode": sieve.mode.value,
@@ -477,8 +466,10 @@ def cmd_eval(system_file, valuation, proposition, mode_flag, by_index, as_json, 
         payload = {"operator": name, "indices": sorted(prop.indices), **_sieve_json(sieve)}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in _sieve_lines(sieve, prop.operator.eigenvalues):
-            click.echo(line)
+        values = prop.operator.eigenvalues
+        fmt = _formatter(values)
+        for p in sieve:
+            click.echo(p.format(values, fmt))
         click.echo(f"classification: {sieve.classify().value}")
 
 
@@ -508,13 +499,9 @@ def cmd_axioms(system_file, valuation, only, mode_flag, as_json, tol):
             nat = check_naturality(nu, op, [float(p.block_of(i)) for i in range(op.k)])
             nat.title = f"{name}: {nat.title} ({p})"
             reports.append(nat)
-        equal = strict = 0
-        for d1, d2 in _disjoint_pairs(op.k):
-            outcome = check_disjunction_strength(nu, op, d1, d2)
-            if outcome is DisjunctionStrength.EQUALITY:
-                equal += 1
-            else:
-                strict += 1
+        outcomes = [check_disjunction_strength(nu, op, d1, d2) for d1, d2 in _disjoint_pairs(op.k)]
+        equal = outcomes.count(DisjunctionStrength.EQUALITY)
+        strict = len(outcomes) - equal
         reports[-1].notes.append(
             f"{name}: disjunction strength on disjoint pairs: {equal} equalities, {strict} strict"
         )

@@ -6,13 +6,11 @@ one atom per context; the atom's indicator hom then values every
 subset-sum projector of that context.  The witness must give every
 projector the same value in every context where it occurs.
 
-`ContextFamily` identifies equal projectors once, by tolerance: two
-subset sums get the same class id when their entries differ by at most
-`tau_proj` in absolute value, and chains of such pairs are joined by
-union-find.  No rounding grid is involved, so the answer does not depend
-on where an entry happens to round.  The family is then compiled into
-integer bitmasks over the classes shared between contexts: for each
-atom, the classes it sets to 1 and the classes it sets to 0.
+`ContextFamily` relates two contexts by the overlap pass of `spectral`:
+they share exactly the unions of the blocks of their common coarsening,
+and no subset sum is built.  The family is then compiled into integer
+bitmasks over the shared classes: for each atom, the classes it sets to
+1 and the classes it sets to 0.
 
 The search backtracks over these masks, contexts in order and atoms
 ascending, holding the decided classes as two masks.  After each choice
@@ -33,7 +31,8 @@ import numpy as np
 
 from .contexts import BooleanContext
 from .errors import InputError, StillColorableError
-from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances
+from .sieves import _bits
+from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances, _blocks, _components
 
 # valuations is imported only where a witness becomes a PartialValuation:
 # the search itself never evaluates one, so `ks` does not load it
@@ -43,56 +42,111 @@ if TYPE_CHECKING:
 # Per context, one (ones, zeros) pair of class masks per atom.
 AtomMasks = tuple[tuple[int, int], ...]
 
-_GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
+# The most block unions a family may identify, counted over its context
+# pairs before any is built.  Two equal 16-atom contexts have 65534: 2.5 s
+# and 136 MB to build, 2 s of it compiling one search bit per class
+# (single run, 2-core Xeon); 20 atoms would have a million.
+MAX_SHARED_UNIONS = 1 << 16
 
 
-def _projector_classes(mats: np.ndarray, tau: float) -> list[int]:
-    """Class ids for a stack of square matrices: two matrices share an id
-    when a chain of pairs with max-abs difference at most tau joins them.
-    Ids number the classes in order of first occurrence.
+def _pair_blocks(contexts: Sequence[BooleanContext], tau: float) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The blocks of the common coarsening of each pair ci < cj of
+    contexts that has two or more, as (ci-atom mask, cj-atom mask) pairs,
+    from the routines of `spectral._overlaps`.  Atoms are linked when
+    max_abs(P Q) > tau, or else to their largest overlap in the other
+    context.  All P Q are the stacked atoms times their transposed stack,
+    one context's rows at a time (k d x N d entries); all balance tests
+    are one product of component indicators with the stack."""
+    sizes = [ctx.n_atoms for ctx in contexts]
+    n, starts = len(sizes), np.cumsum([0] + sizes)
+    first, owner, cut = starts[:-1], np.repeat(np.arange(n), sizes), starts.tolist()
+    local = np.arange(starts[-1]) - first[owner]  # an atom's index in its context
+    bits = np.int64 if max(sizes) < 63 else object  # the dtype of an atom bitmask
+    atoms = np.stack([a for ctx in contexts for a in ctx.atoms])
+    m, d = len(atoms), atoms.shape[1]
+    right = atoms.transpose(1, 2, 0)  # right[t, s, j] = P_j[t, s]
+    overlaps = np.zeros((m, m))  # max_abs(P_i P_j) for atoms of different contexts
+    for lo, hi in zip(cut[:-2], cut[1:-1]):
+        products = atoms[lo:hi].reshape(-1, d) @ right[:, :, hi:].reshape(d, -1)
+        overlaps[lo:hi, hi:] = np.abs(products).reshape(hi - lo, d * d, m - hi).max(axis=1)
+    overlaps += overlaps.T
+    linked = overlaps > tau
+    for i, c in np.argwhere(~np.logical_or.reduceat(linked, first, axis=1) & (owner[:, None] != np.arange(n))).tolist():
+        j = cut[c] + overlaps[i, cut[c] : cut[c + 1]].argmax()
+        linked[i, j] = linked[j, i] = True
+    masks = np.add.reduceat((np.ones(m, bits) << local)[:, None] * linked, first, axis=0).tolist()  # [ci][j]
+    # an atom linked to every atom of the other context joins all into one component
+    one = np.logical_or.reduceat(np.logical_and.reduceat(linked, first, axis=0), first, axis=1)
+    one |= np.logical_or.reduceat(np.logical_and.reduceat(linked, first, axis=1), first, axis=0)
+    pending = [(ci, cj, _components(masks[ci][cut[cj] : cut[cj + 1]])) for ci, cj in np.argwhere(np.triu(~one, 1)).tolist()]
+    rows = [(ci, cj, ia, jc) for ci, cj, components in pending if len(components) > 1 for ia, jc in components]
+    ci, cj, ia, jc = (np.array([r[i] for r in rows], dtype)[:, None] for i, dtype in enumerate((int, int, bits, bits)))
+    shift, row = np.arange(max(sizes)), np.arange(len(rows))[:, None]
+    indicator = np.zeros((len(rows), m + len(shift)))  # padded: no mask has a bit past its context
+    indicator[row, starts[ci] + shift] = (ia >> shift) & 1
+    indicator[row, starts[cj] + shift] -= ((jc >> shift) & 1).astype(float)
+    sums = (indicator[:, :m] @ atoms.reshape(m, d * d).view(float)).view(complex)
+    balanced, pairs = iter((np.abs(sums).max(axis=1) <= tau).tolist()), {}
+    for ci, cj, components in pending:
+        if len(components) > 1:
+            blocks = _blocks(components, [next(balanced) for _ in components], sizes[ci])
+            if len(blocks) > 1:
+                pairs[ci, cj] = blocks
+    return pairs
 
-    Candidate pairs come from a sort-and-sweep on a fixed linear key with
-    positive weights w: a pair within tau differs in key by at most
-    ||w||_1 * tau, plus the rounding of the two dot products."""
-    n = len(mats)
-    flat = mats.reshape(n, -1)
-    parts = flat.view(float)
-    weights = (np.arange(1, parts.shape[1] + 1) * _GOLDEN) % 1.0 + 0.5
-    keys = parts @ weights
-    rounding = 2.0 * parts.shape[1] * np.finfo(float).eps * float(np.abs(parts).max(initial=0.0))
-    window = float(weights.sum()) * (tau + rounding)
-    order = np.argsort(keys, kind="stable")
-    ends = np.searchsorted(keys[order], keys[order] + window, side="right")
-    # every pair of sorted positions lo < hi < ends[lo]
-    counts = ends - np.arange(1, n + 1)
-    lo = np.repeat(np.arange(n), counts)
-    hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(counts) - counts, counts)
-    a, b = order[lo], order[hi]
-    close = np.abs(flat[a] - flat[b]).max(axis=1, initial=0.0) <= tau
 
-    parent = list(range(n))
+def _classes(sizes: Sequence[int], pairs: dict[tuple[int, int], list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
+    """The shared classes as lists of (context, atom mask) nodes: the zero
+    masks, the full masks, then the sorted classes of a union-find joining
+    the unions of the same blocks on the two sides of every pair."""
+    width = max(sizes)  # node (ci, mask) is the int ci << width | mask, ordered alike
+    parent: dict[int, int] = {}  # a root has no entry
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def root(x):
+        while x in parent:
+            x = parent[x]
+        return x
 
-    for i, j in zip(a[close].tolist(), b[close].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    label: dict[int, int] = {}
-    return [label.setdefault(find(i), len(label)) for i in range(n)]
+    for (ci, cj), blocks in pairs.items():
+        unions = [(0, 0)]
+        for ia, jc in blocks:
+            unions += [(ua | ia, uc | jc) for ua, uc in unions]
+        for ua, uc in unions[1:-1]:  # never empty or full on either side
+            x, y = root(ci << width | ua), root(cj << width | uc)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for node in sorted(parent.keys() | parent.values()):
+        classes.setdefault(root(node), []).append((node >> width, node & (1 << width) - 1))
+    ends = [[(ci, 0) for ci in range(len(sizes))], [(ci, (1 << k) - 1) for ci, k in enumerate(sizes)]]
+    return ends * (len(sizes) > 1) + list(classes.values())
+
+
+def _compile(sizes: Sequence[int], classes: Sequence[Sequence[tuple[int, int]]]) -> tuple[AtomMasks, ...]:
+    """One bit per class other than zero and the identity (those never
+    conflict), set to 1 by the atoms in the class's masks, else to 0."""
+    ones = [[0] * k for k in sizes]
+    zeros = [[0] * k for k in sizes]
+    for bit, nodes in enumerate(classes[2:]):
+        for ci, mask in nodes:
+            for atom in range(sizes[ci]):
+                (ones if mask >> atom & 1 else zeros)[ci][atom] |= 1 << bit
+    return tuple(tuple(zip(o, z)) for o, z in zip(ones, zeros))
 
 
 class ContextFamily:
     """A finite list of Boolean contexts on one Hilbert space, indexed so
-    that equal subset-sum projectors (entries within `tol.tau_proj`) are
-    recognized across contexts.
+    that the projectors two contexts share are recognized.
 
-    `index` maps each projector class id to its occurrences, as
-    (context position, atom index set) pairs."""
+    Two contexts share exactly the unions of the blocks of their common
+    coarsening (`_pair_blocks`).  So, under `tol.tau_proj`, a union of
+    blocks is shared when each block's two sums agree within tau_proj,
+    even where the union sums differ by more; and the zero and the
+    identity of all contexts form one class each, whatever their sums.
+    `index` maps the id of each class occurring in two or more contexts
+    to its occurrences, as (context position, atom index set) pairs.  A
+    family whose pairs have more than `MAX_SHARED_UNIONS` block unions
+    in all is refused with InputError before any is built."""
 
     __slots__ = ("dim", "contexts", "tol", "index", "_masks")
 
@@ -102,66 +156,32 @@ class ContextFamily:
         dim = contexts[0].dim
         if any(c.dim != dim for c in contexts):
             raise InputError("contexts act on different dimensions")
-        where, mats = [], []
-        for ci, ctx in enumerate(contexts):
-            for subset, matrix in ctx.elements():
-                where.append((ci, subset))
-                mats.append(matrix)
-        index: dict[int, list[tuple[int, frozenset[int]]]] = {}
-        for occurrence, cid in zip(where, _projector_classes(np.stack(mats), tol.tau_proj)):
-            index.setdefault(cid, []).append(occurrence)
-        self.dim = dim
-        self.contexts = tuple(contexts)
-        self.tol = tol
-        self.index = index
-        self._masks = self._compile()
-
-    def _compile(self) -> tuple[AtomMasks, ...]:
-        """One bit per class that occurs in two contexts and is neither
-        the zero nor the identity projector (those never conflict)."""
-        ones = [[0] * ctx.n_atoms for ctx in self.contexts]
-        zeros = [[0] * ctx.n_atoms for ctx in self.contexts]
-        bit = 1
-        for entries in self.shared_projectors().values():
-            ci, subset = entries[0]
-            if not 0 < len(subset) < self.contexts[ci].n_atoms:
-                continue
-            for ci, subset in entries:
-                for atom in range(self.contexts[ci].n_atoms):
-                    if atom in subset:
-                        ones[ci][atom] |= bit
-                    else:
-                        zeros[ci][atom] |= bit
-            bit <<= 1
-        return tuple(tuple(zip(o, z)) for o, z in zip(ones, zeros))
+        pairs = _pair_blocks(contexts, tol.tau_proj) if len(contexts) > 1 else {}
+        count = sum((1 << len(blocks)) - 2 for blocks in pairs.values())
+        if count > MAX_SHARED_UNIONS:
+            raise InputError(f"the context pairs have {count} shared block unions, more than {MAX_SHARED_UNIONS}")
+        sizes = [c.n_atoms for c in contexts]
+        classes = _classes(sizes, pairs)
+        subset = {mask: frozenset(_bits(mask)) for mask in {mask for nodes in classes for _, mask in nodes}}
+        self.dim, self.contexts, self.tol = dim, tuple(contexts), tol
+        self.index = {cid: [(ci, subset[mask]) for ci, mask in nodes] for cid, nodes in enumerate(classes)}
+        self._masks = _compile(sizes, classes)
 
     def _restrict(self, keep: Sequence[int]) -> "ContextFamily":
-        """The subfamily of the contexts at positions `keep`, in that
-        order, with its index and masks taken from this family."""
+        """The subfamily of the contexts at positions `keep`, in that order,
+        with this family's masks and classes left in two or more of them."""
         pos = {ci: j for j, ci in enumerate(keep)}
         sub = ContextFamily.__new__(ContextFamily)
-        sub.dim = self.dim
-        sub.contexts = tuple(self.contexts[ci] for ci in keep)
-        sub.tol = self.tol
-        sub.index = {}
+        sub.dim, sub.contexts, sub.tol, sub.index = self.dim, tuple(self.contexts[ci] for ci in keep), self.tol, {}
         for cid, entries in self.index.items():
             live = [(pos[ci], subset) for ci, subset in entries if ci in pos]
-            if live:
+            if len({ci for ci, _ in live}) > 1:
                 sub.index[cid] = live
         sub._masks = tuple(self._masks[ci] for ci in keep)
         return sub
 
     def __len__(self):
         return len(self.contexts)
-
-    def shared_projectors(self) -> dict[int, list[tuple[int, frozenset[int]]]]:
-        """Class ids occurring as subset sums in at least two distinct
-        contexts, with their occurrences."""
-        return {
-            cid: entries
-            for cid, entries in self.index.items()
-            if len({ci for ci, _ in entries}) >= 2
-        }
 
     def __repr__(self):
         return f"ContextFamily(dim={self.dim}, contexts={len(self.contexts)})"
@@ -178,27 +198,17 @@ class DualSectionWitness:
         return 1 if self.chosen[context] in set(subset) else 0
 
     def value_table(self, fam: ContextFamily) -> dict[int, int]:
-        """The implied value of every projector class shared between
-        contexts."""
-        out = {}
-        for cid, entries in fam.shared_projectors().items():
-            ci, subset = entries[0]
-            out[cid] = self.value(ci, subset)
-        return out
+        """The implied value of every shared projector class."""
+        return {cid: self.value(*entries[0]) for cid, entries in fam.index.items()}
 
     def verify(self, fam: ContextFamily) -> bool:
         """Recheck cross-context agreement on every shared projector,
         independently of any search state."""
         if len(self.chosen) != len(fam.contexts):
             return False
-        for ci, atom in enumerate(self.chosen):
-            if not 0 <= atom < fam.contexts[ci].n_atoms:
-                return False
-        for entries in fam.index.values():
-            values = {self.value(ci, subset) for ci, subset in entries}
-            if len(values) > 1:
-                return False
-        return True
+        if not all(0 <= atom < ctx.n_atoms for atom, ctx in zip(self.chosen, fam.contexts)):
+            return False
+        return all(len({self.value(ci, subset) for ci, subset in entries}) == 1 for entries in fam.index.values())
 
 
 def _settle(
@@ -260,17 +270,10 @@ def _first_witness(masks: Sequence[AtomMasks]) -> Optional[tuple[int, ...]]:
 
 
 def search_dual_section(fam: ContextFamily) -> Optional[DualSectionWitness]:
-    """Backtracking search for a consistent atom choice per context.
-
-    Contexts are processed in order with atom indices ascending.  A
-    branch is pruned as soon as a shared projector would receive
-    conflicting values, or a later context sharing a projector with the
-    decided ones has no compatible atom left; a later context left with
-    one compatible atom has its values decided at once.  Pruning only
-    cuts branches with no completion, so the first witness found is the
-    lexicographically least one.  Returns None when the family admits no
-    witness.
-    """
+    """The lexicographically least atom choice per context that values
+    every shared projector alike (contexts in order, atoms ascending,
+    with the forward checks of the module docstring); None when the
+    family admits none."""
     chosen = _first_witness(fam._masks)
     return None if chosen is None else DualSectionWitness(chosen)
 
@@ -280,9 +283,8 @@ def minimal_uncolorable_subfamily(fam: ContextFamily) -> ContextFamily:
     the family without a witness, until every remaining context is
     needed.  Requires the input family to have no witness already.
 
-    Trials search the family's compiled masks of the kept contexts; the
-    result is restricted from this family's index and holds the same
-    context objects in the same order."""
+    Trials search the kept contexts' compiled masks; the result is
+    restricted from this family: the same context objects, in order."""
     if search_dual_section(fam) is not None:
         raise StillColorableError("family admits a witness; nothing to minimize")
     keep = list(range(len(fam)))
@@ -313,7 +315,4 @@ def section_to_partial_valuation(
 
     if not w.verify(fam):
         raise InputError("witness does not fit the family")
-    assignments = []
-    for ci, ctx in enumerate(fam.contexts):
-        assignments.append((context_operator(ctx), w.chosen[ci]))
-    return PartialValuation.explicit(assignments, tol)
+    return PartialValuation.explicit([(context_operator(ctx), atom) for ctx, atom in zip(fam.contexts, w.chosen)], tol)

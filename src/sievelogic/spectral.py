@@ -357,6 +357,32 @@ def _linked(stack: np.ndarray, q: np.ndarray, tol: Tolerances) -> list[int]:
     return np.flatnonzero(overlaps > tol.tau_proj).tolist() or [int(np.argmax(overlaps))]
 
 
+def _components(links: Sequence[int]) -> list[tuple[int, int]]:
+    """The connected components of a link relation as (a-mask, c-mask)
+    bitmask pairs; links[j] is the mask of the a-indices linked to c's j."""
+    components: list[tuple[int, int]] = []
+    for j, ia in enumerate(links):
+        jc = 1 << j
+        for g in [g for g in components if g[0] & ia]:
+            components.remove(g)
+            ia, jc = ia | g[0], jc | g[1]
+        components.append((ia, jc))
+    return components
+
+
+def _blocks(components: Sequence[tuple[int, int]], balanced: Sequence[bool], k: int) -> list[tuple[int, int]]:
+    """The blocks of a common coarsening as (a-mask, c-mask) pairs: the
+    balanced components, then any rest of a's k indices with its c side."""
+    blocks, rest_a, rest_c = [], (1 << k) - 1, 0
+    for g, ok in zip(components, balanced):
+        if ok:
+            blocks.append(g)
+            rest_a -= g[0]
+        else:
+            rest_c |= g[1]
+    return blocks + [(rest_a, rest_c)] if rest_a else blocks
+
+
 def _overlaps(a: SpectralOperator, c: SpectralOperator, tol: Tolerances) -> tuple[Partition, list[int]]:
     """The one pass relating two operators' projectors: the common
     coarsening r of a by c, and links[j], the first index of a linked
@@ -372,18 +398,11 @@ def _overlaps(a: SpectralOperator, c: SpectralOperator, tol: Tolerances) -> tupl
     if a.dim != c.dim:
         raise InputError("operators act on different dimensions")
     stack = np.stack(a.projectors)  # memory k d^2: one row of overlaps at a time
-    components: list[tuple[set[int], set[int]]] = []  # (a-indices, c-indices)
-    links: list[int] = []
-    for j, q in enumerate(c.projectors):
-        linked = _linked(stack, q, tol)
-        links.append(linked[0])
-        ia, jc = set(linked), {j}
-        for ga, gc in [g for g in components if g[0] & ia]:
-            ia, jc = ia | ga, jc | gc
-        components = [g for g in components if not g[0] & ia] + [(ia, jc)]
-    blocks = [ia for ia, jc in components if max_abs(a.projector(ia) - c.projector(jc)) <= tol.tau_proj]
-    rest = set(range(a.k)).difference(*blocks)
-    return Partition.of(blocks + [rest] if rest else blocks), links
+    linked = [_linked(stack, q, tol) for q in c.projectors]
+    components = _components([_mask_of(ia, a.k, "eigenvalue") for ia in linked])
+    balanced = [max_abs(a.projector(_bits(ia)) - c.projector(_bits(jc))) <= tol.tau_proj for ia, jc in components]
+    blocks = _blocks(components, balanced, a.k)
+    return Partition.of(_bits(ia) for ia, _ in blocks), [ia[0] for ia in linked]
 
 
 def common_coarsening(a: SpectralOperator, c: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> Partition:

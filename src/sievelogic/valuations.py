@@ -370,10 +370,9 @@ def check_disjunction_strength(
 ) -> DisjunctionStrength:
     """Whether the sieve of a union equals the join of the sieves, or
     strictly exceeds it."""
-    s1 = _mask_of(d1, a.k, "eigenvalue")
-    s2 = _mask_of(d2, a.k, "eigenvalue")
-    union = nu.sieve_mask(a, s1 | s2)
-    joined = nu.sieve_mask(a, s1) | nu.sieve_mask(a, s2)
+    s1, s2 = _mask_of(d1, a.k, "eigenvalue"), _mask_of(d2, a.k, "eigenvalue")
+    sieves = nu._row(a)[1]  # the masks are checked: no `sieve_mask` re-check
+    union, joined = sieves[s1 | s2], sieves[s1] | sieves[s2]
     if joined & ~union:
         raise InputError("join exceeds the union sieve; monotonicity is broken")
     return DisjunctionStrength.EQUALITY if union == joined else DisjunctionStrength.STRICT_INEQUALITY

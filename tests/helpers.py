@@ -453,6 +453,29 @@ def brute_dual_section(fam: ContextFamily, chunk: int = 1 << 16):
     return None
 
 
+def brute_shared_classes(fam: ContextFamily) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The shared classes of a family as sorted lists of (context, atom
+    tuple) occurrences, in sorted order.  Every pair of subset sums is
+    compared by max-abs within tau_proj and joined by a plain union-find
+    (no sort, no overlap pass); a class is shared when it spans two
+    contexts."""
+    items = [(ci, subset, matrix) for ci, ctx in enumerate(fam.contexts) for subset, matrix in ctx.elements()]
+    parent = list(range(len(items)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(items)), 2):
+        if np.abs(items[i][2] - items[j][2]).max() <= fam.tol.tau_proj:
+            parent[root(j)] = root(i)
+    classes: dict[int, list] = {}
+    for i, (ci, subset, _) in enumerate(items):
+        classes.setdefault(root(i), []).append((ci, tuple(sorted(subset))))
+    return sorted(sorted(occ) for occ in classes.values() if len({ci for ci, _ in occ}) > 1)
+
+
 def brute_value_fibers(values, eps: float) -> tuple[Partition, tuple[float, ...], tuple[int, ...]]:
     """The fiber partition, block labels and codomain index map of a value
     list, by union-find over every pair of values within eps (no sort

@@ -18,9 +18,16 @@ from sievelogic import (
     search_dual_section,
     section_to_partial_valuation,
 )
-from sievelogic.ks_search import _projector_classes
-from sievelogic.spectral import _check_resolution
-from helpers import brute_dual_section, rand_basis_context, rand_unitary, witness_ok_independent
+from sievelogic.ks_search import MAX_SHARED_UNIONS, _pair_blocks
+from sievelogic.sieves import Partition, _bits
+from sievelogic.spectral import _check_resolution, _overlaps
+from helpers import (
+    brute_dual_section,
+    brute_shared_classes,
+    rand_basis_context,
+    rand_unitary,
+    witness_ok_independent,
+)
 
 
 def diag_context(bits):
@@ -58,9 +65,14 @@ class TestFingerprint:
         assert class_of(fam, 0, [0]) == class_of(fam, 1, [1])
 
     def test_negative_zero_and_phase(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([[-0.0, 1.0], [1.0, -0.0]])
-        assert _projector_classes(np.array([a, b], dtype=complex), DEFAULT_TOL.tau_proj) == [0, 0]
+        # one ray with a complex phase, entered with +0.0 and with -0.0
+        # real parts off the diagonal
+        a = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+        b = np.array([[0.5, complex(-0.0, -0.5)], [complex(-0.0, 0.5), 0.5]])
+        fam = pair_family(a, b)
+        assert len(fam.index) == 4
+        assert class_of(fam, 0, [0]) == class_of(fam, 1, [0])
+        assert class_of(fam, 0, [1]) == class_of(fam, 1, [1])
 
 
 class TestContextFamily:
@@ -73,7 +85,7 @@ class TestContextFamily:
             ContextFamily([])
 
     def test_shared_projectors_ks18(self, ks18):
-        shared = ks18.family.shared_projectors()
+        shared = ks18.family.index
         # every ray of the 18-ray family occurs in exactly two contexts,
         # as does its rank-3 complement; identity and zero occur in all 9
         by_count = {}
@@ -91,7 +103,7 @@ class TestContextFamily:
         v = np.array([np.cos(theta), np.sin(theta)])
         u = np.array([-np.sin(theta), np.cos(theta)])
         fam = ContextFamily([context_from_vectors([v, u]), context_from_vectors([3.7 * v, u])])
-        assert len(fam.shared_projectors()) == 4
+        assert len(fam.index) == 4
         assert class_of(fam, 0, [0]) == class_of(fam, 1, [0])
 
     def test_identification_reads_tau_proj(self):
@@ -99,13 +111,49 @@ class TestContextFamily:
         c, s = np.cos(1e-6), np.sin(1e-6)
         b = np.outer([c, s], [c, s])
         tight = pair_family(a, b)
-        assert class_of(tight, 0, [0]) != class_of(tight, 1, [0])
+        # only zero and the identity are shared; the atoms are not
+        assert sorted(len(entries[0][1]) for entries in tight.index.values()) == [0, 2]
         loose = pair_family(a, b, DEFAULT_TOL.replace(tau_proj=1e-5))
         assert class_of(loose, 0, [0]) == class_of(loose, 1, [0])
 
     def test_single_context_shares_nothing(self):
         fam = ContextFamily([diag_context(3)])
-        assert fam.shared_projectors() == {}
+        assert fam.index == {}
+
+    def test_union_of_blocks_shared_beyond_tau(self):
+        # each atom of the second context is within tau of the first's,
+        # but the sums over {0, 1} differ by 2 eps > tau at entry (2, 2);
+        # the union of two blocks is still shared
+        eps, tol = 0.6e-3, DEFAULT_TOL.replace(tau_proj=1e-3)
+        a = [np.diag(np.eye(4)[i]) for i in range(4)]
+        c = [np.diag(v) for v in ([1, 0, eps, 0], [0, 1, eps, 0], [0, 0, 1 - eps, 0], [0, 0, -eps, 1])]
+        fam = ContextFamily([BooleanContext(a, tol), BooleanContext(c, tol)], tol)
+        assert np.abs(a[0] + a[1] - c[0] - c[1]).max() > tol.tau_proj
+        assert class_of(fam, 0, [0, 1]) == class_of(fam, 1, [0, 1])
+        assert len(fam.index) == 16
+
+    def test_identity_shared_beyond_tau(self):
+        # both contexts resolve the identity within tau, but their sums
+        # differ by 2 eps > tau; the atoms are not shared, zero and the
+        # identity are
+        eps, tol = 0.6e-3, DEFAULT_TOL.replace(tau_proj=1e-3)
+        fam = ContextFamily(
+            [
+                BooleanContext([np.diag([1 + eps, 0]), np.diag([0, 1 + eps])], tol),
+                BooleanContext([np.diag([1 - eps, 0]), np.diag([0, 1 - eps])], tol),
+            ],
+            tol,
+        )
+        assert class_of(fam, 0, [0, 1]) == class_of(fam, 1, [0, 1])
+        assert class_of(fam, 0, []) == class_of(fam, 1, [])
+        assert len(fam.index) == 2
+
+    def test_union_count_guard(self):
+        # two equal 20-atom contexts: 2^20 - 2 unions, refused before the
+        # first is built
+        assert 2**20 - 2 > MAX_SHARED_UNIONS
+        with pytest.raises(InputError, match="1048574 shared block unions"):
+            ContextFamily([diag_context(20), diag_context(20)])
 
 
 class TestSearch:
@@ -276,12 +324,24 @@ def dim3_family(seed, n):
     return ContextFamily(contexts)
 
 
+def coarse_family(ks18, seed):
+    """The 18-ray family plus three of its bases coarsened, one pair of
+    atoms or two pairs merged, so contexts of 4, 3 and 2 atoms share
+    blocks of one and of two rays."""
+    rng = np.random.default_rng(seed)
+    contexts = list(ks18.family.contexts)
+    for n, ci in enumerate(rng.choice(len(contexts), size=3, replace=False)):
+        a = [contexts[ci].atoms[i] for i in rng.permutation(4)]
+        contexts.append(BooleanContext([a[0] + a[1], a[2], a[3]] if n % 2 else [a[0] + a[1], a[2] + a[3]]))
+    return ContextFamily([contexts[i] for i in rng.permutation(len(contexts))])
+
+
 def shared_occurrences(fam):
     """The shared classes of a family as sorted occurrence lists, free of
     class ids."""
     return sorted(
         sorted((ci, tuple(sorted(s))) for ci, s in entries)
-        for entries in fam.shared_projectors().values()
+        for entries in fam.index.values()
     )
 
 
@@ -299,6 +359,28 @@ def assert_minimal(fam):
 
 
 class TestSecondRoute:
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("ks18", 0)] + [("drop", s) for s in range(6)] + [("dim3", s) for s in range(12)] + [("coarse", s) for s in range(3)],
+    )
+    def test_shared_classes_match_brute(self, ks18, kind, seed):
+        make = {
+            "ks18": lambda: ks18.family,
+            "drop": lambda: ks18_variant(ks18, seed, "drop"),
+            "dim3": lambda: dim3_family(seed, 4 + seed % 5),
+            "coarse": lambda: coarse_family(ks18, seed),
+        }
+        fam = make[kind]()
+        assert shared_occurrences(fam) == brute_shared_classes(fam)
+        # the family pass partitions both contexts of every pair as the
+        # overlap pass does, in either order
+        pairs = _pair_blocks(fam.contexts, fam.tol.tau_proj)
+        ops = [context_operator(ctx) for ctx in fam.contexts]
+        for ci, cj in itertools.combinations(range(len(fam)), 2):
+            blocks = pairs.get((ci, cj)) or [((1 << ops[ci].k) - 1, (1 << ops[cj].k) - 1)]
+            assert Partition.of(_bits(ia) for ia, _ in blocks) == _overlaps(ops[ci], ops[cj], fam.tol)[0]
+            assert Partition.of(_bits(jc) for _, jc in blocks) == _overlaps(ops[cj], ops[ci], fam.tol)[0]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_ks18_dropped_basis(self, ks18, seed):
         fam = ks18_variant(ks18, seed, "drop")
@@ -321,7 +403,7 @@ class TestSecondRoute:
     @pytest.mark.parametrize("seed", range(12))
     def test_dim3_shared_rays(self, seed):
         fam = dim3_family(seed, 4 + seed % 5)
-        assert len(fam.shared_projectors()) > 2
+        assert len(fam.index) > 2
         w = search_dual_section(fam)
         assert (None if w is None else w.chosen) == brute_dual_section(fam)
 
