@@ -31,7 +31,7 @@ import numpy as np
 
 from .contexts import BooleanContext
 from .errors import InputError, StillColorableError
-from .sieves import _bits
+from .sieves import _bits, _row_masks
 from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances, _blocks, _components
 
 # valuations is imported only where a witness becomes a PartialValuation:
@@ -43,9 +43,9 @@ if TYPE_CHECKING:
 AtomMasks = tuple[tuple[int, int], ...]
 
 # The most block unions a family may identify, counted over its context
-# pairs before any is built.  Two equal 16-atom contexts have 65534: 2.5 s
-# and 136 MB to build, 2 s of it compiling one search bit per class
-# (single run, 2-core Xeon); 20 atoms would have a million.
+# pairs before any is built.  Two equal 16-atom contexts have 65534: 0.85 s
+# and 176 MB to build, 0.25-0.3 s of it compiling one search bit per class
+# (three runs, 2-core Xeon); 20 atoms would have a million.
 MAX_SHARED_UNIONS = 1 << 16
 
 
@@ -124,14 +124,24 @@ def _classes(sizes: Sequence[int], pairs: dict[tuple[int, int], list[tuple[int, 
 
 def _compile(sizes: Sequence[int], classes: Sequence[Sequence[tuple[int, int]]]) -> tuple[AtomMasks, ...]:
     """One bit per class other than zero and the identity (those never
-    conflict), set to 1 by the atoms in the class's masks, else to 0."""
-    ones = [[0] * k for k in sizes]
-    zeros = [[0] * k for k in sizes]
-    for bit, nodes in enumerate(classes[2:]):
-        for ci, mask in nodes:
-            for atom in range(sizes[ci]):
-                (ones if mask >> atom & 1 else zeros)[ci][atom] |= 1 << bit
-    return tuple(tuple(zip(o, z)) for o, z in zip(ones, zeros))
+    conflict), set to 1 by the atoms in the class's masks, else to 0.
+    One bool table over (context, atom, 1s or 0s, class) is filled from
+    all occurrences at once, and each atom's two rows are packed into its
+    int masks once (rows past a context's atoms are padding)."""
+    shared = classes[2:]
+    occurrences = [node for nodes in shared for node in nodes]
+    ci, mask = zip(*occurrences) if occurrences else ((), ())
+    n, k, width = len(sizes), max(sizes), len(shared)
+    ci = np.array(ci, dtype=np.intp)
+    bit = np.repeat(np.arange(width), [len(nodes) for nodes in shared])
+    member = np.array(mask, dtype=np.int64 if k < 63 else object).reshape(-1, 1) >> np.arange(k) & 1 == 1
+    table = np.zeros((n, k, 2, width), dtype=bool)
+    for side, hit in enumerate((member, ~member)):
+        node, atom = np.nonzero(hit)
+        table[ci[node], atom, side, bit[node]] = True  # a class may hold two masks of one context
+    masks = _row_masks(table.reshape(2 * n * k, width))
+    pairs = list(zip(masks[::2], masks[1::2]))
+    return tuple(tuple(pairs[c * k : c * k + size]) for c, size in enumerate(sizes))
 
 
 class ContextFamily:

@@ -324,6 +324,14 @@ class CoarseGraining:
         to = {i: rank[label] for block, label in zip(self.partition.blocks, self.labels) for i in block}
         object.__setattr__(self, "to", tuple(to[i] for i in range(len(to))))
 
+    @classmethod
+    def _of_checked(cls, partition: Partition, labels: tuple[float, ...], to: tuple[int, ...], base) -> "CoarseGraining":
+        """The graining of a checked (partition, labels, to), unchecked:
+        fields the constructor has built before, on another base."""
+        cg = cls.__new__(cls)
+        cg.__dict__.update(partition=partition, labels=labels, to=to, base=base)  # frozen: no setattr
+        return cg
+
     @property
     def codomain_size(self) -> int:
         return self.partition.n_blocks
@@ -507,9 +515,13 @@ def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
     (surjective) index map: entry j is the base bit of the composite of
     the codomain's admissible partition j, whose code is that partition's
     code read through `to`, so codomain bit j of a pullback is that base
-    bit of the sieve."""
+    bit of the sieve.  When `to` is itself a restricted-growth code (the
+    maps of canonical labels), it meets its codomain indices in
+    ascending order, so every code read through it is already canonical
+    and is looked up without `_canonical`."""
     base = _lattice(len(to), mode).codes
-    return tuple(base[_canonical(code[j] for j in to)] for code in _lattice(max(to) + 1, mode).codes)
+    relabel = tuple if _canonical(to) == to else _canonical
+    return tuple(base[relabel(code[j] for j in to)] for code in _lattice(max(to) + 1, mode).codes)
 
 
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
@@ -569,10 +581,22 @@ def mass_rows(k: int, mode: Mode, masses, cutoff: float):
 
 
 def _row_masks(bits) -> tuple[int, ...]:
-    """The rows of a bool matrix as int masks (column i is bit i)."""
+    """The rows of a bool matrix as int masks (column i is bit i), sliced
+    from one packed buffer."""
     import numpy as np
 
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little"))
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    n, data = packed.shape[1], packed.tobytes()
+    return tuple(int.from_bytes(data[i : i + n], "little") for i in range(0, len(data), n)) if n else (0,) * len(packed)
+
+
+def _columns(mask: int, n: int):
+    """The first n bits of a mask as a bool vector (column i is bit i),
+    the inverse of one row of `_row_masks`."""
+    import numpy as np
+
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 # -- DOT export ------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import numbers
 from collections import abc
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -319,17 +320,31 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
 
 
 def value_fibers(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> CoarseGraining:
-    """The coarse-graining of a's eigenvalue indices by f: each value is
-    replaced by its cluster's `_fiber_value` (the mean, bit-identical to
-    `np.mean`), and `_from_values` groups the indices into fibers, in
-    canonical block order, labeled by those values."""
-    values = normalize_value_map(a, f)
+    """The coarse-graining of a's eigenvalue indices by f, based at a:
+    each value is replaced by its cluster's `_fiber_value` (the mean,
+    bit-identical to `np.mean`), and the indices are grouped into
+    fibers, in canonical block order, labeled by those values.  f is
+    normalized and checked on every call; the fibers, labels and index
+    map come from `_fibers`, built once per (values, eps_group)."""
+    return CoarseGraining._of_checked(*_fibers(normalize_value_map(a, f), tol.eps_group), a)
+
+
+# Bounded: one entry per distinct value tuple, and a k = 8 audit passes
+# Bell(8) = 4140 of them.
+@lru_cache(maxsize=1 << 13)
+def _fibers(values: tuple[float, ...], eps: float) -> tuple[Partition, tuple[float, ...], tuple[int, ...]]:
+    """The (partition, labels, to) of the fibers of a value tuple, built
+    by `_from_values` on the clustered values.  0.0 and -0.0 are one key,
+    and both give the same record: a label is a sum from 0.0, never -0.0.
+    A DegenerateClusteringError is raised again on every call (the
+    cache keeps no exceptions)."""
     snapped = list(values)
-    for g in cluster_values(values, tol.eps_group):
+    for g in cluster_values(values, eps):
         label = _fiber_value([values[i] for i in g])
         for i in g:
             snapped[i] = label
-    return _from_values(snapped, a)
+    cg = _from_values(snapped, None)
+    return cg.partition, cg.labels, cg.to
 
 
 def apply_function(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:

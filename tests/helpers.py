@@ -476,6 +476,22 @@ def brute_shared_classes(fam: ContextFamily) -> list[list[tuple[int, tuple[int, 
     return sorted(sorted(occ) for occ in classes.values() if len({ci for ci, _ in occ}) > 1)
 
 
+def brute_atom_masks(sizes, classes):
+    """Each atom's (ones, zeros) class masks by plain loops: bit b is
+    classes[b + 2] (zero and the identity take none), a list of
+    (context, atom mask) nodes; an atom inside a node's mask sets bit b
+    in its ones, an atom of that node's context outside it in its zeros."""
+    ones, zeros = [[0] * k for k in sizes], [[0] * k for k in sizes]
+    for bit, nodes in enumerate(classes[2:]):
+        for ci, mask in nodes:
+            for atom in range(sizes[ci]):
+                if mask >> atom & 1:
+                    ones[ci][atom] |= 1 << bit
+                else:
+                    zeros[ci][atom] |= 1 << bit
+    return tuple(tuple(zip(o, z)) for o, z in zip(ones, zeros))
+
+
 def brute_value_fibers(values, eps: float) -> tuple[Partition, tuple[float, ...], tuple[int, ...]]:
     """The fiber partition, block labels and codomain index map of a value
     list, by union-find over every pair of values within eps (no sort

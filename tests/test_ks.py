@@ -18,10 +18,11 @@ from sievelogic import (
     search_dual_section,
     section_to_partial_valuation,
 )
-from sievelogic.ks_search import MAX_SHARED_UNIONS, _pair_blocks
+from sievelogic.ks_search import MAX_SHARED_UNIONS, _compile, _pair_blocks
 from sievelogic.sieves import Partition, _bits
 from sievelogic.spectral import _check_resolution, _overlaps
 from helpers import (
+    brute_atom_masks,
     brute_dual_section,
     brute_shared_classes,
     rand_basis_context,
@@ -380,6 +381,33 @@ class TestSecondRoute:
             blocks = pairs.get((ci, cj)) or [((1 << ops[ci].k) - 1, (1 << ops[cj].k) - 1)]
             assert Partition.of(_bits(ia) for ia, _ in blocks) == _overlaps(ops[ci], ops[cj], fam.tol)[0]
             assert Partition.of(_bits(jc) for _, jc in blocks) == _overlaps(ops[cj], ops[ci], fam.tol)[0]
+
+    @pytest.mark.parametrize("kind, seed", [("ks18", 0)] + [("drop", s) for s in range(6)] + [("dim3", s) for s in range(12)])
+    def test_atom_masks_match_plain_loops(self, ks18, kind, seed):
+        """The packed tables of `_compile` give each atom the same class
+        masks as one OR per class and atom."""
+        make = {
+            "ks18": lambda: ks18.family,
+            "drop": lambda: ks18_variant(ks18, seed, "drop"),
+            "dim3": lambda: dim3_family(seed, 4 + seed % 5),
+        }
+        fam = make[kind]()
+        assert len(fam.index) > 2
+        classes = [[(ci, sum(1 << i for i in subset)) for ci, subset in fam.index[cid]] for cid in sorted(fam.index)]
+        assert fam._masks == brute_atom_masks([ctx.n_atoms for ctx in fam.contexts], classes)
+
+    def test_atom_masks_edge_cases(self):
+        """Two masks of one context in one class (both bits set for an
+        atom in one of them only), contexts of 63 or more atoms (masks as
+        Python ints), and a single context (no shared class)."""
+        wide = (1 << 70) - 1
+        cases = [
+            ([3, 4], [[(0, 0), (1, 0)], [(0, 7), (1, 15)], [(0, 1), (0, 2), (1, 3)], [(0, 4), (1, 12)]]),
+            ([71, 3, 2], [[(0, 0), (1, 0), (2, 0)], [(0, (1 << 71) - 1), (1, 7), (2, 3)], [(0, wide), (1, 3)], [(0, 1 << 69), (2, 1), (0, 2)]]),
+            ([3], []),
+        ]
+        for sizes, classes in cases:
+            assert _compile(sizes, classes) == brute_atom_masks(sizes, classes)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ks18_dropped_basis(self, ks18, seed):

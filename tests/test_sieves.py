@@ -28,7 +28,7 @@ from sievelogic import (
     prob,
     up_closure,
 )
-from sievelogic.sieves import _image, _images, _lattice, _mask_of, _pullback_table, _row_masks, mass_rows, subset_masses
+from sievelogic.sieves import _canonical, _image, _images, _lattice, _mask_of, _pullback_table, _row_masks, mass_rows, subset_masses
 from helpers import (
     brute_admissible,
     brute_classify,
@@ -611,6 +611,22 @@ class TestLatticeSecondRoute:
             for mode in MODES:
                 expected = [index[mode][c] for q, c in composites if mode is Mode.WITH_CONSTANTS or q.n_blocks > 1]
                 assert _pullback_table(to, mode) == tuple(expected)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_pullback_table_on_canonical_maps(self, k):
+        """A map that is itself a restricted-growth code is read without
+        relabeling; every surjective map at k <= 5, in canonical and in
+        other label orders, gives the table of the `_canonical` route and
+        of `brute_composite`."""
+        maps = [to for to in itertools.product(range(k), repeat=k) if set(to) == set(range(max(to) + 1))]
+        canonical = [to for to in maps if _canonical(to) == to]
+        assert len(canonical) == len(brute_partitions(k)) and (k == 1 or len(canonical) < len(maps))
+        for to in maps:
+            for mode in MODES:
+                base, codomain = _lattice(k, mode), _lattice(max(to) + 1, mode)
+                relabeled = tuple(base.codes[_canonical(code[j] for j in to)] for code in codomain.codes)
+                brute = tuple(base.index[brute_composite(to, q)] for q in codomain.parts)
+                assert _pullback_table.__wrapped__(to, mode) == relabeled == brute
 
     def test_tables_validate_no_partition(self, monkeypatch):
         def refuse(self):

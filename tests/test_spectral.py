@@ -16,6 +16,7 @@ from sievelogic import (
     NotHermitianError,
     QuantumState,
     Tolerances,
+    Partition,
     ZeroNormError,
     all_partitions,
     apply_function,
@@ -327,6 +328,100 @@ def fiber_clusters():
         yield [1e16 + (-1.0) ** i * 2.0 for i in range(n)] + [0.5]
         yield [0.7 + i * eps / 12 for i in range(n)]
         yield [-3.3 + (-1.0) ** i * eps / 3 for i in range(n)]
+
+
+def seeded_value_maps(seed: int, k: int) -> list[float]:
+    """A value map on k indices: a few centers (signed zeros, repeated
+    0.1, 1e16, small integers), each index on one of them plus an
+    offset within or just beyond eps_group."""
+    rng = np.random.default_rng([seed, k])
+    eps = DEFAULT_TOL.eps_group
+    pool = [0.0, -0.0, 0.1, 1.0, -2.5, 1e16, 1e16 + 2.0, float(rng.integers(-9, 10))]
+    centers = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, k + 1)))]
+    offsets = [0.0, -0.0, 0.0, eps / 3, -eps / 3, eps / 2, 2 * eps]
+    return [centers[int(rng.integers(len(centers)))] + offsets[int(rng.integers(len(offsets)))] for _ in range(k)]
+
+
+def label_bytes(labels) -> bytes:
+    return np.array(labels, dtype=float).tobytes()
+
+
+class TestFiberCache:
+    """`value_fibers` keeps one (partition, labels, to) record per value
+    tuple and eps_group; every call still checks its map and answers
+    based at its own operator."""
+
+    def setup_method(self):
+        spectral._fibers.cache_clear()
+
+    def test_signed_zero_keys(self):
+        a = diagonal_operator(3)
+        for values in ((0.0, -0.0, 1.0), (-0.0, 0.0, 1.0), (-0.0, -0.0, 1.0)):
+            cg = value_fibers(a, values)
+            fibers, labels, to = brute_value_fibers(values, DEFAULT_TOL.eps_group)
+            assert (cg.partition, cg.to) == (fibers, to)
+            assert label_bytes(cg.labels) == label_bytes(labels) == label_bytes([0.0, 1.0])
+        assert spectral._fibers.cache_info().hits == 2
+        # at 8 values and more the label is np.mean's: still 0.0
+        for values in ((-0.0,) * 9, (0.0,) + (-0.0,) * 8):
+            cg = value_fibers(diagonal_operator(9), values)
+            assert label_bytes(cg.labels) == label_bytes(brute_value_fibers(values, DEFAULT_TOL.eps_group)[1])
+
+    def test_base_is_each_callers_operator(self):
+        rng = np.random.default_rng(41)
+        a, b = rand_operator(rng, 4, 3), rand_operator(rng, 5, 3)
+        f = [2.0, 0.0, 2.0]
+        first, second = value_fibers(a, f), value_fibers(b, f)
+        assert first.base is a and second.base is b
+        assert (first.partition, first.labels, first.to) == (second.partition, second.labels, second.to)
+        assert apply_function(b, f).dim == 5
+
+    def test_eps_group_is_part_of_the_key(self):
+        a = diagonal_operator(3)
+        values = [0.0, 0.3, 1.0]
+        assert value_fibers(a, values).partition == Partition.discrete(3)
+        loose = value_fibers(a, values, Tolerances(eps_group=0.5))
+        assert loose.partition == Partition.of([[0, 1], [2]])
+        assert label_bytes(loose.labels) == label_bytes([0.15, 1.0])
+        assert value_fibers(a, values).partition == Partition.discrete(3)
+
+    def test_degenerate_chain_raises_on_every_call(self):
+        a = diagonal_operator(3)
+        chain = [0.0, 0.6e-8, 1.2e-8]
+        for _ in range(2):
+            with pytest.raises(DegenerateClusteringError):
+                value_fibers(a, chain)
+
+    def test_checks_every_call(self):
+        a = diagonal_operator(2)
+        value_fibers(a, [0.0, 1.0])
+        for bad in ([0.0, float("nan")], [0.0], {0: 1.0}):
+            with pytest.raises(InputError):
+                value_fibers(a, bad)
+
+    def test_matches_union_find_twice(self):
+        seen = 0
+        for k in range(1, 9):
+            a = diagonal_operator(k)
+            for seed in range(150):
+                values = seeded_value_maps(seed, k)
+                try:
+                    want = brute_value_fibers(values, DEFAULT_TOL.eps_group)
+                except DegenerateClusteringError:
+                    for _ in range(2):
+                        with pytest.raises(DegenerateClusteringError):
+                            value_fibers(a, values)
+                    continue
+                for _ in range(2):
+                    cg = value_fibers(a, values)
+                    assert (cg.partition, cg.to) == (want[0], want[2])
+                    assert label_bytes(cg.labels) == label_bytes(want[1]), values
+                    assert cg.base is a
+                seen += 1
+        assert seen >= 1000
+
+    def test_bounded(self):
+        assert spectral._fibers.cache_info().maxsize is not None
 
 
 class TestFiberValue:

@@ -1004,6 +1004,66 @@ class TestCoarseMatrixFromOwnData:
             assert report.ok and report.checks == 16 + 4, (str(p), report.violations)
 
 
+class TestPartialCaches:
+    """A partial valuation member's domain (its coarsening pushed through
+    a map) and held rows (per lattice, held index and cutoff) are cached
+    across operators and valuations; each answer must still be the
+    valuation's own."""
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("kind", ["maximal", "explicit"])
+    def test_cutoff_does_not_leak(self, kind, mode):
+        """Two valuations on one partial valuation, one with tau_one above
+        1 (cutoff below 0: every subset is held), on the same maps in
+        alternation: each matches its own projector route, and they
+        differ."""
+        rng = np.random.default_rng([len(kind), mode is Mode.WITH_CONSTANTS, 87])
+        differ = 0
+        for _ in range(8):
+            nu, a, f = _own_data_case(rng, kind, mode)
+            loose = GeneralizedValuation.from_partial(nu.partial, mode, Tolerances(tau_one=1.5))
+            cg = value_fibers(a, f)
+            own = [v._matrix(a, cg) for v in (nu, loose)]
+            coarse = [v._matrix(apply_function(a, f)) for v in (nu, loose)]
+            assert all(np.array_equal(o, c) for o, c in zip(own, coarse))
+            assert not own[0][0].any()
+            differ += bool(own[1][0].any())  # the empty subset is held only below 0, on a nonempty domain
+        assert differ
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    @pytest.mark.parametrize("kind", ["maximal", "explicit"])
+    def test_failures_match_brute(self, kind, mode):
+        rng = np.random.default_rng([len(kind), mode is Mode.WITH_CONSTANTS, 89])
+        for _ in range(4):
+            nu, a, f = _own_data_case(rng, kind, mode)
+            for v in (nu, GeneralizedValuation.from_partial(nu.partial, mode, Tolerances(tau_one=1.5))):
+                for p in all_partitions(a.k):
+                    values = [float(rng.permutation(p.n_blocks)[p.block_of(i)]) for i in range(a.k)]
+                    _, failed = valuations._failed_squares(v, a, values)
+                    assert np.flatnonzero(failed).tolist() == brute_naturality_failures(v, a, values)
+
+    @pytest.mark.parametrize("mode", [Mode.WITH_CONSTANTS, Mode.WITHOUT_CONSTANTS])
+    def test_cached_arrays_read_only_and_unaliased(self, mode):
+        rng = np.random.default_rng(91)
+        a = rand_operator(rng, 6, 5)
+        idx = 2
+        nu = GeneralizedValuation.from_partial(PartialValuation.maximal(a, idx), mode)
+        cutoff = nu.r - nu.tol.tau_one
+        for p in all_partitions(5):
+            cg = value_fibers(a, [float(p.block_of(i)) for i in range(5)])
+            coarse = nu._matrix(a, cg)
+            held = valuations._held_rows(cg.codomain_size, mode, cg.to[idx], cutoff)
+            assert not held.flags.writeable
+            assert coarse.flags.writeable and not np.shares_memory(coarse, held)
+            for _, row, _ in nu._rows.values():
+                assert row is None or not np.shares_memory(row, held)
+        assert not np.shares_memory(nu._row(a)[0], valuations._held_rows(5, mode, idx, cutoff))
+
+    def test_bounded(self):
+        for cache in (valuations._domain, valuations._held_rows):
+            assert cache.cache_info().maxsize is not None
+
+
 class TestModeDiscipline:
     def test_mixed_mode_comparison_rejected(self, spin1_sx, spin1_psi):
         from sievelogic import BaseMismatchError
