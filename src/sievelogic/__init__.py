@@ -47,7 +47,7 @@ _EXPORTS = {
     "categories": (
         "CoarseGrainingLattice", "FunctionalRelation", "SectionAssignment", "TwoValuedHom",
         "check_indicator_naturality", "detect_relations", "restrict_hom",
-        "search_global_section", "spectral_algebra",
+        "search_global_section",
     ),
     "ks_search": (
         "ContextFamily", "DualSectionWitness", "context_operator",

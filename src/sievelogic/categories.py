@@ -32,12 +32,6 @@ from .spectral import (
 from .valuations import canonical_graining
 
 
-def spectral_algebra(a: SpectralOperator, tol: Tolerances = DEFAULT_TOL) -> BooleanContext:
-    """The Boolean context generated by an observable: its eigenprojectors
-    are the atoms."""
-    return BooleanContext(a.projectors, tol)
-
-
 class CoarseGrainingLattice:
     """All coarse-grainings of one observable, one per spectrum
     partition, each with a representative coarse observable labeled by
@@ -73,15 +67,10 @@ class CoarseGrainingLattice:
             raise InputError(f"partition {p} is not an object of this lattice")
         return canonical_graining(self.top, p)
 
-    def hom_exists(self, coarse: Partition, fine: Partition) -> bool:
-        """Whether the object at `coarse` receives an arrow from the
-        object at `fine`."""
-        return coarse.coarsens(fine)
-
     def arrow_between(self, coarse: Partition, fine: Partition) -> CoarseGraining:
         """The connecting coarse-graining from the representative at
         `fine` onto the representative at `coarse`."""
-        if not self.hom_exists(coarse, fine):
+        if not coarse.coarsens(fine):
             raise InputError(f"{coarse} does not coarsen {fine}")
         return _from_values([float(coarse.block_of(b[0])) for b in fine.blocks], self.operator_at(fine))
 
@@ -98,7 +87,7 @@ class TwoValuedHom:
         _mask_of([self.chosen_atom], self.context.n_atoms, "atom")
 
     def value(self, atom_indices: Iterable[int]) -> int:
-        return 1 if self.chosen_atom in set(atom_indices) else 0
+        return _mask_of(atom_indices, self.context.n_atoms, "atom") >> self.chosen_atom & 1
 
     def value_projector(self, m, tol: Tolerances = DEFAULT_TOL) -> int:
         """Evaluate on a projector by domination of the chosen atom."""
@@ -127,10 +116,10 @@ def check_indicator_naturality(a: SpectralOperator, tol: Tolerances = DEFAULT_TO
     domination on matrices, so agreement is a real computation."""
     report = Report("indicator naturality")
     lattice = CoarseGrainingLattice(a, Mode.WITH_CONSTANTS)
-    top_context = spectral_algebra(a, tol)
+    top_context = BooleanContext._of_checked(a.projectors, tol)
     for p in lattice.objects:
         coarse_op = lattice.operator_at(p)
-        sub = spectral_algebra(coarse_op, tol)
+        sub = BooleanContext._of_checked(coarse_op.projectors, tol)
         for lam in range(a.k):
             chi = TwoValuedHom(top_context, lam)
             restricted = restrict_hom(chi, sub, tol)
@@ -165,9 +154,6 @@ class SectionAssignment:
 
     choices: tuple[int, ...]
     relations: tuple[FunctionalRelation, ...]
-
-    def eigenvalue_index(self, member: int) -> int:
-        return self.choices[member]
 
     def verify(self) -> bool:
         return all(
@@ -220,5 +206,5 @@ def search_global_section(
             )
     if not family:
         return SectionAssignment((), relations)
-    w = search_dual_section(ContextFamily([spectral_algebra(a, tol) for a in family], tol))
+    w = search_dual_section(ContextFamily([BooleanContext._of_checked(a.projectors, tol) for a in family], tol))
     return None if w is None else SectionAssignment(w.chosen, relations)

@@ -68,6 +68,15 @@ class BooleanContext:
         self.dim = dim
         self.tol = tol
 
+    @classmethod
+    def _of_checked(cls, atoms: Sequence[np.ndarray], tol: Tolerances) -> "BooleanContext":
+        """The context of atoms derived from checked projectors (an
+        operator's eigenprojectors, block sums of a context's atoms),
+        unchecked."""
+        ctx = cls.__new__(cls)
+        ctx.atoms, ctx.dim, ctx.tol = tuple(_freeze(a) for a in atoms), atoms[0].shape[0], tol
+        return ctx
+
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
@@ -109,14 +118,13 @@ class SubalgebraPoset:
     The mode chooses whether the trivial one-block algebra is a node.
     """
 
-    __slots__ = ("top", "mode", "nodes", "_lattice", "_weights", "_rows")
+    __slots__ = ("top", "mode", "nodes", "_lattice", "_rows")
 
     def __init__(self, top: BooleanContext, mode: Mode = Mode.WITH_CONSTANTS):
         self.top = top
         self.mode = mode
         self._lattice = _lattice(top.n_atoms, mode)
         self.nodes = self._lattice.parts
-        self._weights = {}
         self._rows = {}
 
     def _require(self, w: Partition) -> int:
@@ -144,26 +152,19 @@ class SubalgebraPoset:
         self._require(w)
         return _element_mask(w, alpha) is not None
 
-    def weights(self, rho: QuantumState) -> tuple[float, ...]:
-        """The state's probability of each top atom, computed once per
-        state and kept for the life of the poset."""
-        if rho not in self._weights:
-            self._weights[rho] = rho.weights(self.top.atoms)
-        return self._weights[rho]
-
     def _row(self, rho: QuantumState, cutoff: float) -> tuple[int, ...]:
         """The sieve mask of every subset bitmask under the state's atom
         weights: their `subset_masses` through one `mass_rows` per (state,
-        cutoff), kept like the weights."""
+        cutoff), kept for the life of the poset."""
         if (rho, cutoff) not in self._rows:
-            masses = subset_masses(self.weights(rho))
+            masses = subset_masses(rho.weights(self.top.atoms))
             self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, masses, cutoff))
         return self._rows[rho, cutoff]
 
     def node_context(self, w: Partition) -> BooleanContext:
         """The node as a standalone context with block-sum atoms."""
         self._require(w)
-        return BooleanContext([self.top.element(b) for b in w.blocks], self.top.tol)
+        return BooleanContext._of_checked([self.top.element(b) for b in w.blocks], self.top.tol)
 
     def __repr__(self):
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
@@ -208,9 +209,10 @@ def canonical_coarsening(
     w2's blocks that meet alpha."""
     if not poset.leq(w2, w1):
         raise NotSubalgebraError(f"{w2} is not a subalgebra of {w1}")
-    if not poset.is_element(w1, alpha):
+    a = _element_mask(w1, alpha)
+    if a is None:
         raise InputError(f"{sorted(alpha)} is not an element of {w1}")
-    return frozenset(_bits(_image(w2, _mask_of(alpha, w1.k, "atom"))))
+    return frozenset(_bits(_image(w2, a)))
 
 
 class _Asked(dict):
@@ -361,10 +363,10 @@ class SubalgebraSieve:
 
     def restrict(self, w2: Partition) -> "SubalgebraSieve":
         """The induced truth value at a subalgebra of the base."""
-        if not self.poset.leq(w2, self.base):
+        i2, up = self.poset._require(w2), self.poset._lattice.up
+        if not up[self._node] >> i2 & 1:
             raise NotSubalgebraError(f"{w2} is not a subalgebra of {self.base}")
-        i2 = self.poset._require(w2)
-        return SubalgebraSieve._at(self.poset, i2, self._mask & self.poset._lattice.up[i2])
+        return SubalgebraSieve._at(self.poset, i2, self._mask & up[i2])
 
     def __repr__(self):
         return f"SubalgebraSieve(base={self.base}, members={len(self)})"

@@ -31,7 +31,7 @@ import numpy as np
 
 from .contexts import BooleanContext
 from .errors import InputError, StillColorableError
-from .sieves import _bits, _row_masks
+from .sieves import _bits, _index, _row_masks
 from .spectral import DEFAULT_TOL, SpectralOperator, Tolerances, _blocks, _components
 
 # valuations is imported only where a witness becomes a PartialValuation:
@@ -204,8 +204,10 @@ class DualSectionWitness:
     chosen: tuple[int, ...]
 
     def value(self, context: int, subset) -> int:
-        """The 0/1 value of a subset-sum projector of one context."""
-        return 1 if self.chosen[context] in set(subset) else 0
+        """The 0/1 value of a subset-sum projector of one context.  The
+        witness holds no atom counts, so the indices are checked as
+        integers only, not against the context's range."""
+        return 1 if self.chosen[context] in {_index(i, "atom") for i in subset} else 0
 
     def value_table(self, fam: ContextFamily) -> dict[int, int]:
         """The implied value of every shared projector class."""

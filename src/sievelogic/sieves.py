@@ -509,16 +509,16 @@ class Sieve:
         return Classification.INTERMEDIATE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
     """A gather index for pullbacks along a coarse-graining with this
-    (surjective) index map: entry j is the base bit of the composite of
+    surjective index map: entry j is the base bit of the composite of
     the codomain's admissible partition j, whose code is that partition's
     code read through `to`, so codomain bit j of a pullback is that base
     bit of the sieve.  When `to` is itself a restricted-growth code (the
     maps of canonical labels), it meets its codomain indices in
     ascending order, so every code read through it is already canonical
-    and is looked up without `_canonical`."""
+    and needs no `_canonical`."""
     base = _lattice(len(to), mode).codes
     relabel = tuple if _canonical(to) == to else _canonical
     return tuple(base[relabel(code[j] for j in to)] for code in _lattice(max(to) + 1, mode).codes)

@@ -155,9 +155,6 @@ class PartialValuation:
                 return g[idx]
         return None
 
-    def assignments(self) -> list[tuple[SpectralOperator, int]]:
-        return list(self.members)
-
 
 class GeneralizedValuation:
     """A sieve-valued truth assignment over a fixed sieve mode.
@@ -256,7 +253,7 @@ class GeneralizedValuation:
         return self._row(a)[1][s]
 
     def evaluate(self, p: Proposition) -> Sieve:
-        return Sieve._of_mask(p.operator.k, self.mode, self.sieve_mask(p.operator, p.bits))
+        return Sieve._of_mask(p.operator.k, self.mode, self._row(p.operator)[1][p.bits])  # bits checked by Proposition
 
 
 def _unions(parts: Sequence[int]) -> list[int]:
@@ -278,7 +275,7 @@ class _Gathers(NamedTuple):
     preimages: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _gathers(to: tuple[int, ...], mode: Mode) -> _Gathers:
     """The `_Gathers` record of (to, mode), built once, so that no square
     converts an index list or runs `_unions`."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelogic import (
+    BooleanContext,
     CoarseGrainingLattice,
     FunctionalRelation,
     InputError,
@@ -14,6 +15,7 @@ from sievelogic import (
     Partition,
     PartialValuation,
     SectionAssignment,
+    SubalgebraPoset,
     TwoValuedHom,
     apply_function,
     bell_number,
@@ -25,8 +27,8 @@ from sievelogic import (
     detect_relations,
     restrict_hom,
     search_global_section,
-    spectral_algebra,
 )
+from sievelogic import contexts
 from sievelogic.spectral import max_abs, projector_leq
 from helpers import (
     ks_operator_family,
@@ -40,18 +42,18 @@ from helpers import (
 
 class TestSpectralAlgebra:
     def test_scalar_operator_is_trivial(self):
-        ctx = spectral_algebra(decompose(np.eye(3) * 2.5))
+        ctx = BooleanContext(decompose(np.eye(3) * 2.5).projectors)
         assert ctx.n_atoms == 1
         assert max_abs(ctx.atoms[0] - np.eye(3)) < 1e-12
 
     def test_spin1_sz_counts(self, spin1_sz):
-        ctx = spectral_algebra(spin1_sz)
+        ctx = BooleanContext(spin1_sz.projectors)
         assert ctx.n_atoms == 3
         assert len(list(ctx.elements())) == 8
 
     def test_coarse_algebra_embeds(self, spin1_sx, spin1_sx2):
-        big = spectral_algebra(spin1_sx)
-        small = spectral_algebra(spin1_sx2)
+        big = BooleanContext(spin1_sx.projectors)
+        small = BooleanContext(spin1_sx2.projectors)
         for q in small.atoms:
             dominated = [p for p in big.atoms if projector_leq(p, q, 1e-9)]
             assert max_abs(q - sum(dominated)) < 1e-9
@@ -95,9 +97,9 @@ class TestLattice:
         lattice = CoarseGrainingLattice(spin1_sx)
         coarse = Partition.of([(0, 1, 2)])
         fine = Partition.of([(0,), (1,), (2,)])
-        assert lattice.hom_exists(coarse, fine)
-        assert not lattice.hom_exists(fine, coarse)
-        with pytest.raises(InputError):
+        assert coarse.coarsens(fine) and not fine.coarsens(coarse)
+        assert lattice.arrow_between(coarse, fine).codomain_size == 1
+        with pytest.raises(InputError, match="does not coarsen"):
             lattice.arrow_between(fine, coarse)
 
     def test_arrow_between_composes(self):
@@ -145,34 +147,37 @@ class TestLattice:
 
 class TestTwoValuedHom:
     def test_values_by_membership(self, spin1_sz):
-        ctx = spectral_algebra(spin1_sz)
+        ctx = BooleanContext(spin1_sz.projectors)
         chi = TwoValuedHom(ctx, 1)
         assert chi.value([1]) == 1
         assert chi.value([0, 2]) == 0
         assert chi.value([0, 1, 2]) == 1
+        for bad in ([7], ["a"], [1.0], [True]):
+            with pytest.raises(InputError):
+                chi.value(bad)
         assert chi.value_projector(ctx.element([1, 2])) == 1
         assert chi.value_projector(ctx.element([0])) == 0
 
     def test_bad_atom_rejected(self, spin1_sz):
-        ctx = spectral_algebra(spin1_sz)
+        ctx = BooleanContext(spin1_sz.projectors)
         with pytest.raises(InputError):
             TwoValuedHom(ctx, 3)
 
     @pytest.mark.parametrize("atom", [0.5, -1, 2, "a", True])
     def test_non_index_atom_rejected(self, atom):
         # a 2-atom context: 2 is one past the last atom
-        ctx = spectral_algebra(decompose(np.diag([0.0, 1.0])))
+        ctx = BooleanContext(decompose(np.diag([0.0, 1.0])).projectors)
         with pytest.raises(InputError):
             TwoValuedHom(ctx, atom)
 
     def test_unit_is_true_for_every_atom(self):
-        ctx = spectral_algebra(decompose(np.diag([0.0, 1.0])))
+        ctx = BooleanContext(decompose(np.diag([0.0, 1.0])).projectors)
         for atom in range(2):
             assert TwoValuedHom(ctx, atom).value([0, 1]) == 1
 
     def test_restrict_to_trivial(self, spin1_sz):
-        ctx = spectral_algebra(spin1_sz)
-        trivial = spectral_algebra(decompose(np.eye(3)))
+        ctx = BooleanContext(spin1_sz.projectors)
+        trivial = BooleanContext(decompose(np.eye(3)).projectors)
         for atom in range(3):
             chi = restrict_hom(TwoValuedHom(ctx, atom), trivial)
             assert chi.chosen_atom == 0
@@ -181,23 +186,23 @@ class TestTwoValuedHom:
         # Sz eigenvalue +s restricts to the s^2 atom of the squared
         # observable's context
         sz2 = apply_function(spin1_sz, lambda x: x * x)
-        big = spectral_algebra(spin1_sz)
-        small = spectral_algebra(sz2)
+        big = BooleanContext(spin1_sz.projectors)
+        small = BooleanContext(sz2.projectors)
         chi = restrict_hom(TwoValuedHom(big, 2), small)
         assert projector_leq(spin1_sz.projectors[2], small.atoms[chi.chosen_atom], 1e-9)
         assert chi.chosen_atom == 1
 
     def test_restrict_rejects_non_subalgebra(self, spin1_sz, spin1_sx):
-        big = spectral_algebra(spin1_sz)
-        other = spectral_algebra(spin1_sx)
+        big = BooleanContext(spin1_sz.projectors)
+        other = BooleanContext(spin1_sx.projectors)
         with pytest.raises(NotSubalgebraError):
             restrict_hom(TwoValuedHom(big, 0), other)
 
     def test_restriction_contravariant_chain(self):
         a = decompose(np.diag([0.0, 1.0, 2.0, 3.0]))
-        w1 = spectral_algebra(a)
-        w2 = spectral_algebra(apply_function(a, [0.0, 0.0, 1.0, 2.0]))
-        w3 = spectral_algebra(apply_function(a, [0.0, 0.0, 1.0, 1.0]))
+        w1 = BooleanContext(a.projectors)
+        w2 = BooleanContext(apply_function(a, [0.0, 0.0, 1.0, 2.0]).projectors)
+        w3 = BooleanContext(apply_function(a, [0.0, 0.0, 1.0, 1.0]).projectors)
         for atom in range(4):
             chi = TwoValuedHom(w1, atom)
             two_step = restrict_hom(restrict_hom(chi, w2), w3)
@@ -220,6 +225,53 @@ class TestIndicatorNaturality:
             dim = int(rng.integers(2, 5))
             k = int(rng.integers(1, min(dim, 4) + 1))
             assert check_indicator_naturality(rand_operator(rng, dim, k)).ok
+
+
+class TestDerivedContexts:
+    """Contexts built from an operator's eigenprojectors, or from block
+    sums of a context's atoms, are not checked a second time."""
+
+    @pytest.fixture
+    def resolution_checks(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        check = contexts._check_resolution
+        monkeypatch.setattr(contexts, "_check_resolution", counting)
+        return calls
+
+    def test_no_check_after_the_operators(self, resolution_checks, spin1_sx, spin1_sx2, spin1_sz):
+        rng = np.random.default_rng(5)
+        a = rand_operator(rng, 6, 5)
+        poset = SubalgebraPoset(BooleanContext(a.projectors))
+        assert len(resolution_checks) == 1
+        check_indicator_naturality(a)
+        search_global_section([spin1_sx, spin1_sx2, spin1_sz])
+        for w in poset.nodes:
+            poset.node_context(w)
+        assert len(resolution_checks) == 1
+        with pytest.raises(InputError, match="atoms 0 and 1 are not orthogonal"):
+            BooleanContext([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        assert len(resolution_checks) == 2
+
+    def test_same_reports_as_checked_contexts(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        ops = [rand_operator(rng, int(rng.integers(k, 7)), k) for k in (1, 2, 3, 4, 5) for _ in range(2)]
+        u = rand_unitary(rng, 5)
+        families = []
+        for _ in range(4):
+            a, group = rand_related_operator(rng, u, 5)
+            families.append([a] + [rand_related_operator(rng, u, 5, group)[0] for _ in range(3)])
+        derived = [check_indicator_naturality(a) for a in ops]
+        sections = [search_global_section(family) for family in families]
+        monkeypatch.setattr(BooleanContext, "_of_checked", classmethod(lambda cls, atoms, tol: cls(atoms, tol)))
+        for a, got in zip(ops, derived):
+            want = check_indicator_naturality(a)
+            assert (got.checks, got.violations) == (want.checks, want.violations)
+        assert sections == [search_global_section(family) for family in families]
 
 
 class TestDetectRelations:
@@ -289,8 +341,7 @@ class TestGlobalSection:
     def test_section_respects_relations(self, spin1_sx, spin1_sx2):
         section = search_global_section([spin1_sx, spin1_sx2])
         assert section is not None
-        idx_sx = section.eigenvalue_index(0)
-        idx_sq = section.eigenvalue_index(1)
+        idx_sx, idx_sq = section.choices
         expected = 1 if idx_sx in (0, 2) else 0
         assert idx_sq == expected
 

@@ -28,7 +28,6 @@ from sievelogic import (
     context_from_vectors,
     decompose,
     prob,
-    spectral_algebra,
     true_w,
     valuation_sieve,
 )
@@ -137,7 +136,7 @@ class TestSubalgebraPoset:
 
 class TestCanonicalCoarsening:
     def test_spin1_example(self, spin1_sz):
-        poset = SubalgebraPoset(spectral_algebra(spin1_sz))
+        poset = SubalgebraPoset(BooleanContext(spin1_sz.projectors))
         w2 = Partition.of([(0, 2), (1,)])
         # the +1 eigenprojector coarsens to the two-sided element
         got = canonical_coarsening(poset, FINEST3, w2, frozenset([2]))
@@ -257,7 +256,7 @@ class TestValuationSieve:
     def test_spin1_partial_support(self, spin1_sz):
         # state spread over the upper two atoms: the singleton element is
         # certified only where the subalgebra merges those atoms
-        poset = SubalgebraPoset(spectral_algebra(spin1_sz))
+        poset = SubalgebraPoset(BooleanContext(spin1_sz.projectors))
         psi = QuantumState.vector([1.0, 1.0, 0.0])
         s = valuation_sieve(psi, poset, FINEST3, frozenset([1]))
         assert set(s.members) == {
@@ -290,11 +289,17 @@ class TestValuationSieve:
         with pytest.raises(InputError):
             nu.evaluate(Proposition(decompose(np.diag([0.0, 1.0, 2.0, 2.0])), frozenset([0])))
 
-    def test_weights_computed_once_per_state(self, poset4):
+    def test_weights_computed_once_per_state(self, poset4, monkeypatch):
+        # the poset's (state, cutoff) row cache is the one place weights are kept
         rho = rand_density_state(np.random.default_rng(7), 4)
-        weights = poset4.weights(rho)
-        assert poset4.weights(rho) is weights
-        assert weights == tuple(prob(rho, a) for a in poset4.top.atoms)
+        calls = []
+        weights = QuantumState.weights
+        monkeypatch.setattr(QuantumState, "weights", lambda s, atoms: calls.append(atoms) or weights(s, atoms))
+        first, second = ([valuation_sieve(rho, poset4, w, alpha) for w in poset4.nodes for alpha in poset4.elements(w)]
+                         for _ in range(2))
+        assert first == second
+        assert calls == [poset4.top.atoms]
+        assert weights(rho, poset4.top.atoms) == tuple(prob(rho, a) for a in poset4.top.atoms)
 
 
 class TestLocalValuation:
@@ -376,7 +381,7 @@ class TestLocalValuation:
 
 class TestRestrictionCompatibility:
     def test_spin1(self, spin1_sz):
-        poset = SubalgebraPoset(spectral_algebra(spin1_sz))
+        poset = SubalgebraPoset(BooleanContext(spin1_sz.projectors))
         psi = QuantumState.vector([1.0, 1.0, 0.0])
         assert check_restriction_compatibility(psi, poset).ok
 

@@ -52,7 +52,7 @@ HOME = {
     "categories": [
         "CoarseGrainingLattice", "FunctionalRelation", "SectionAssignment", "TwoValuedHom",
         "check_indicator_naturality", "detect_relations", "restrict_hom",
-        "search_global_section", "spectral_algebra",
+        "search_global_section",
     ],
     "ks_search": [
         "ContextFamily", "DualSectionWitness", "context_operator",
@@ -130,7 +130,7 @@ def test_command_loads_only_its_layers(argv, code, present, absent, tmp_path):
 
 
 def test_all_is_pinned():
-    assert len(EXPORTS) + len(HOME) == 81
+    assert len(EXPORTS) + len(HOME) == 80
     assert sorted(sievelogic.__all__) == sorted([*HOME, *(name for _, name in EXPORTS)])
 
 

@@ -222,6 +222,9 @@ class TestWitness:
         w = DualSectionWitness((1, 1))
         assert w.value(0, [1, 2]) == 1
         assert w.value(0, [0, 2]) == 0
+        for bad in (["a"], [1.0], [True]):
+            with pytest.raises(InputError):
+                w.value(0, bad)
         table = w.value_table(fam)
         assert set(table.values()) <= {0, 1}
 

@@ -8,6 +8,7 @@ import itertools
 from sievelogic import (
     DEFAULT_TOL,
     BaseMismatchError,
+    BooleanContext,
     Classification,
     DisjunctionStrength,
     GeneralizedValuation,
@@ -37,7 +38,6 @@ from sievelogic import (
     prob,
     sieves,
     spectral,
-    spectral_algebra,
     valuation_sieve,
     valuations,
 )
@@ -110,7 +110,7 @@ class TestPartialValuation:
     def test_maximal_members(self, spin1_sx):
         v = PartialValuation.maximal(spin1_sx, 2)
         assert v.kind == "maximal"
-        assert len(v.assignments()) == 1
+        assert len(v.members) == 1
 
     def test_locate_descends_to_functions(self, spin1_sx, spin1_sx2):
         v = PartialValuation.maximal(spin1_sx, 2)
@@ -134,7 +134,7 @@ class TestPartialValuation:
             with pytest.raises(InputError, match=text):
                 PartialValuation.explicit([(spin1_sx, bad)])
         for v in (PartialValuation.maximal(spin1_sx, np.int64(2)), PartialValuation.explicit([(spin1_sx, np.int64(2))])):
-            assert v.assignments() == [(spin1_sx, 2)] and type(v.assignments()[0][1]) is int
+            assert v.members == [(spin1_sx, 2)] and type(v.members[0][1]) is int
 
     def test_explicit_consistent(self, spin1_sz):
         sz2 = apply_function(spin1_sz, lambda x: x * x)
@@ -343,7 +343,7 @@ class TestNearPsdState:
         sieve = GeneralizedValuation.from_state(rho, mode).evaluate(Proposition(a, {0}))
         assert Partition.discrete(3) in sieve
         assert len(sieve) == len(Sieve.totally_true(3, mode))
-        poset = SubalgebraPoset(spectral_algebra(a), mode)
+        poset = SubalgebraPoset(BooleanContext(a.projectors), mode)
         truth = valuation_sieve(rho, poset, Partition.discrete(3), frozenset({0}))
         assert truth.is_true
 
@@ -494,7 +494,7 @@ class TestExtractPartial:
     def test_spin1_state(self, spin1_sx, spin1_sx2, spin1_sz, spin1_psi):
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
         v = extract_partial(nu, [spin1_sx, spin1_sx2, spin1_sz])
-        ops = [op for op, _ in v.assignments()]
+        ops = [op for op, _ in v.members]
         assert all(op is not spin1_sx for op in ops)
         assert v.locate(spin1_sx2) == pytest.approx(1.0)
         assert v.locate(spin1_sz) == pytest.approx(0.0)
@@ -1060,7 +1060,7 @@ class TestPartialCaches:
         assert not np.shares_memory(nu._row(a)[0], valuations._held_rows(5, mode, idx, cutoff))
 
     def test_bounded(self):
-        for cache in (valuations._domain, valuations._held_rows):
+        for cache in (valuations._domain, valuations._held_rows, valuations._gathers, sieves._pullback_table):
             assert cache.cache_info().maxsize is not None
 
 
