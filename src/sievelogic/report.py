@@ -1,8 +1,12 @@
-"""Small result record returned by the check_* operations."""
+"""The result record returned by the check_* operations, and the order
+axioms both valuation sides record on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence, Union
+
+from .sieves import _bits
 
 
 @dataclass
@@ -47,3 +51,47 @@ class Report:
         lines += [f"  violation: {v}" for v in self.violations]
         lines += [f"  note: {n}" for n in self.notes]
         return "\n".join(lines)
+
+
+# Bounded: a table holds the 3^b nested and 3^b disjoint pairs of an
+# element list of 2^b entries, 1 MB at b = 9; the 4140 nodes of an
+# 8-atom poset hold 19 MB in all.
+@lru_cache(maxsize=1 << 12)
+def _pair_table(elements: tuple[int, ...], distinct: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The index pairs the order axioms visit on one element list (subset
+    masks), built once per list: per element x, the indices y of the
+    elements containing it, and those of the elements disjoint from it;
+    y = x is left out when `distinct`.  Both come from one comparison of
+    every pair in numpy, cut into rows."""
+    import numpy as np
+
+    masks = np.array(elements)
+    tables = []
+    for pairs in ((masks[:, None] & ~masks) == 0, (masks[:, None] & masks) == 0):
+        if distinct:
+            np.fill_diagonal(pairs, False)
+        ys = np.nonzero(pairs)[1].tolist()
+        ends = np.cumsum(pairs.sum(axis=1)).tolist()
+        tables.append(tuple(tuple(ys[start:end]) for start, end in zip([0] + ends, ends)))
+    return tuple(tables)
+
+
+def _check_order(report: Report, elements: tuple[int, ...], sieves: Sequence[int], true: Sequence[bool], distinct: bool) -> None:
+    """Monotonicity and exclusivity, for both sides' valuation axioms, of a
+    map from elements (subset masks) to sieve masks, on ordered index
+    pairs (x, y), all of them or, when `distinct`, those with x != y:
+    x within y needs sieve x within sieve y, and x disjoint from y with x
+    true needs y not true.  The pairs come from the element list's
+    `_pair_table`, so monotonicity visits the nested pairs only (3^k of
+    the 4^k over a k-point spectrum) and exclusivity the disjoint ones of
+    true elements only."""
+    within, disjoint = _pair_table(elements, distinct)
+    report.tally(sum(map(len, within)), (
+        f"monotonicity fails for {list(_bits(elements[x]))} within {list(_bits(elements[y]))}"
+        for x, ys in enumerate(within) for y in ys if sieves[x] & ~sieves[y]
+    ))
+    held = [x for x, t in enumerate(true) if t]
+    report.tally(sum(len(disjoint[x]) for x in held), (
+        f"exclusivity fails for disjoint {list(_bits(elements[x]))} / {list(_bits(elements[y]))}"
+        for x in held for y in disjoint[x] if true[y]
+    ))

@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BaseMismatchError, InputError
-
-if TYPE_CHECKING:
-    from .report import Report
 
 
 class Mode(Enum):
@@ -242,24 +239,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _check_order(report: Report, elements: Sequence[int], sieves: Sequence[int], true: Sequence[bool], pairs) -> None:
-    """Monotonicity and exclusivity, for both sides' valuation axioms, of a
-    map from elements (subset masks) to sieve masks on the index pairs
-    (x, y) given: x within y needs sieve x within sieve y, and x disjoint
-    from y with x true needs y not true."""
-    pairs = list(pairs)
-    nested = [(x, y) for x, y in pairs if not elements[x] & ~elements[y]]
-    report.tally(len(nested), (
-        f"monotonicity fails for {list(_bits(elements[x]))} within {list(_bits(elements[y]))}"
-        for x, y in nested if sieves[x] & ~sieves[y]
-    ))
-    exclusive = [(x, y) for x, y in pairs if true[x] and not elements[x] & elements[y]]
-    report.tally(len(exclusive), (
-        f"exclusivity fails for disjoint {list(_bits(elements[x]))} / {list(_bits(elements[y]))}"
-        for x, y in exclusive if true[y]
-    ))
 
 
 def _index(i, noun: str) -> int:

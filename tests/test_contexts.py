@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,7 @@ from sievelogic import (
     context_from_vectors,
     decompose,
     prob,
+    report,
     true_w,
     valuation_sieve,
 )
@@ -616,7 +618,7 @@ class TestAuditSecondRoute:
         assert restriction.ok and restriction.checks == brute_restriction_checks(n, mode)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_local_valuation_reports(self, n, mode):
         """`check_local_valuation` reports, byte for byte, against the
         report rebuilt from the axioms' definitions on frozensets, at every
@@ -647,6 +649,37 @@ class TestAuditSecondRoute:
                 values = {alpha: value.members for alpha, value in phi.items()}
                 want = brute_axiom_report("poset", values, frozenset(down))
                 assert str(check_local_valuation(poset, w, phi)) == want
+
+    def test_pair_tables_match_definition(self):
+        """`report._pair_table`, built in numpy, against the pairs of its
+        definition on every node of the 5-atom poset and every spectrum
+        of up to 6 points, with and without x = y."""
+        lists = [*_node_tables(5, Mode.WITH_CONSTANTS)[1], *(tuple(range(1 << k)) for k in range(1, 7))]
+        for elements, distinct in itertools.product(lists, (True, False)):
+            span = range(len(elements))
+            pairs = [[y for y in span if not (distinct and x == y)] for x in span]
+            assert report._pair_table(elements, distinct) == (
+                tuple(tuple(y for y in ys if not elements[x] & ~elements[y]) for x, ys in enumerate(pairs)),
+                tuple(tuple(y for y in ys if not elements[x] & elements[y]) for x, ys in enumerate(pairs)),
+            )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pair_tables_per_element_list(self, mode):
+        """Nodes 0|1|2,3 and 0,1|2|3 have eight elements each, but {0,1}
+        is a union of two blocks in one and a block in the other: each
+        gets its own pair table, and a broken map reports at both, one
+        after the other, as the definitions say."""
+        poset = diag_poset(4, mode)
+        tables = []
+        for w in (Partition.of([(0,), (1,), (2, 3)]), Partition.of([(0, 1), (2,), (3,)])):
+            tables.append(report._pair_table(tuple(sum(1 << i for i in e) for e in poset.elements(w)), True))
+            full, empty = true_w(poset, w), SubalgebraSieve(poset, w, [])
+            phi = {alpha: full if 0 < len(alpha) < 3 else empty for alpha in poset.elements(w)}
+            values = {alpha: value.members for alpha, value in phi.items()}
+            want = brute_axiom_report("poset", values, frozenset(brute_subalgebras(4, mode, w)))
+            assert "monotonicity" in want and "exclusivity" in want
+            assert str(check_local_valuation(poset, w, phi)) == want
+        assert tables[0] != tables[1]
 
     def test_four_atom_counts(self):
         assert brute_coarsening_checks(4, Mode.WITH_CONSTANTS) == 4046
