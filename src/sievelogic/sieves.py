@@ -147,9 +147,9 @@ MAX_SPECTRUM = 9
 
 # The most atoms a subalgebra-poset audit takes: its tables hold each
 # node's image of every subset, and its cost grows about 13x per atom.
-# check_coarsening_axioms on a diagonal context took 1.6 s at 7 atoms and
-# 26 s at 8 (single unpinned runs, 2-core Xeon); at 9 the image table
-# alone would hold 21147 x 512 ints.
+# check_coarsening_axioms on a diagonal context takes 0.3-0.4 s at 7
+# atoms and 3.7-4.2 s at 8 (one mode, unpinned runs, 2-core host); at 9
+# the image table alone would hold 21147 x 512 ints.
 MAX_POSET_ATOMS = 8
 
 

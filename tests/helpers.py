@@ -335,6 +335,74 @@ def brute_coarsening_checks(n: int, mode: Mode) -> int:
     return total
 
 
+def brute_coarsening(w1: Partition, w2: Partition, alpha: frozenset) -> frozenset:
+    """The canonical coarse-graining by its definition: the union of the
+    blocks of w2 that meet alpha."""
+    return frozenset(i for b in w2.blocks if alpha & set(b) for i in b)
+
+
+def broken_coarsening(n: int, mode: Mode, seed: int, count: int = 4):
+    """The canonical map with the answers at a few seeded slots (w1, w2
+    within w1, element alpha of w1) replaced by one of: the image less its
+    lowest atom (it loses atoms, or is not an element of w2), alpha itself
+    (not an element of w2 when alpha is not one), the unit, or the image
+    plus one atom of a block of w2 it misses (never an element of w2)."""
+    rng = np.random.default_rng(seed)
+    slots = [
+        (w1, w2, alpha)
+        for w1 in sorted(admissible_partitions(n, mode))
+        for w2 in sorted(brute_subalgebras(n, mode, w1))
+        for alpha in brute_node_elements(w1)
+    ]
+    wrong = {}
+    for j in rng.choice(len(slots), size=min(count, len(slots)), replace=False).tolist():
+        w1, w2, alpha = slots[j]
+        t = brute_coarsening(w1, w2, alpha)
+        options = [t - {min(t, default=0)}, alpha, frozenset(range(n))]
+        options += [t | {b[0]} for b in w2.blocks if len(b) > 1 and not t & set(b)][:1]
+        wrong[slots[j]] = options[int(rng.integers(len(options)))]
+    return lambda w1, w2, alpha: wrong.get((w1, w2, alpha), brute_coarsening(w1, w2, alpha))
+
+
+def brute_coarsening_report(n: int, mode: Mode, theta) -> str:
+    """The text of the coarsening audit of a map on the n-atom poset,
+    rebuilt from the axioms' definitions on frozensets.  `theta(w1, w2,
+    alpha)` returns a set of atom indices.  Per inclusion w2 within w1 and
+    element alpha of w1: theta(alpha) contains alpha (domination), equals
+    alpha when alpha is an element of w2 (retraction), and for each w3
+    within w2 theta from w1 to w3 agrees with theta from w2 to w3 of
+    theta(alpha) (composition); per inclusion, alpha within beta, both
+    distinct elements of w1, needs theta(alpha) within theta(beta)."""
+    image = lru_cache(maxsize=None)(lambda w1, w2, alpha: frozenset(theta(w1, w2, alpha)))
+    checks, violations = 0, []
+    for w1 in admissible_partitions(n, mode):
+        elements = brute_node_elements(w1)
+        for w2 in brute_subalgebras(n, mode, w1):
+            of_w2 = set(brute_node_elements(w2))
+            for alpha in elements:
+                t = image(w1, w2, alpha)
+                checks += 1
+                if not alpha <= t:
+                    violations.append(f"domination fails: theta({sorted(alpha)}) from {w1} to {w2} loses atoms")
+                if alpha in of_w2:
+                    checks += 1
+                    if t != alpha:
+                        violations.append(f"retraction fails on {sorted(alpha)} from {w1} to {w2}")
+                for beta in elements:
+                    if alpha < beta:
+                        checks += 1
+                        if not t <= image(w1, w2, beta):
+                            violations.append(
+                                f"monotonicity fails for {sorted(alpha)} within {sorted(beta)} from {w1} to {w2}"
+                            )
+                for w3 in brute_subalgebras(n, mode, w2):
+                    checks += 1
+                    if image(w1, w3, alpha) != image(w2, w3, t):
+                        violations.append(f"composition fails on {sorted(alpha)} along {w1} -> {w2} -> {w3}")
+    status = f"{len(violations)} violation(s)" if violations else "ok"
+    return "\n".join([f"coarse-graining axioms: {checks} checks, {status}"] + [f"  violation: {v}" for v in sorted(violations)])
+
+
 def brute_restriction_checks(n: int, mode: Mode) -> int:
     """The number of checks of the restriction audit on an n-atom poset:
     one per inclusion w2 within w1 and element of w1."""

@@ -37,8 +37,11 @@ from sievelogic.contexts import _node_tables
 from sievelogic.sieves import _image
 from sievelogic.spectral import max_abs
 from helpers import (
+    broken_coarsening,
     brute_axiom_report,
+    brute_coarsening,
     brute_coarsening_checks,
+    brute_coarsening_report,
     brute_node_elements,
     brute_restriction_checks,
     brute_subalgebras,
@@ -241,6 +244,43 @@ class TestCoarseningAxioms:
         report = check_coarsening_axioms(poset4, bad)
         assert not report.ok
         assert any("domination" in v for v in report.violations)
+
+    def test_user_map_asked_once_per_slot(self, poset4):
+        """A user map is asked once per slot (w1, w2 within w1, element of
+        w1): composition reads the answers at (w2, w3) it already has."""
+        calls = []
+
+        def counted(w1, w2, alpha):
+            calls.append((w1, w2, alpha))
+            return canonical_coarsening(poset4, w1, w2, alpha)
+
+        assert str(check_coarsening_axioms(poset4, counted)) == str(check_coarsening_axioms(poset4))
+        assert len(calls) == len(set(calls)) == brute_restriction_checks(4, Mode.WITH_CONSTANTS) == 538
+
+    def test_table_read_off_element(self, poset4):
+        """A table answer at (w1, w2) that is not an element of w2 is
+        looked up at (w2, w3) for every w3 within w2; a missing entry there
+        is rejected by name."""
+        pair, unit = Partition.of([(0, 1), (2, 3)]), frozenset(range(4))
+        table = {
+            (w1, q): {alpha: canonical_coarsening(poset4, w1, q, alpha) for alpha in poset4.elements(w1)}
+            for w1 in poset4.nodes
+            for q in poset4.down_set(w1)
+        }
+        table[(FINEST4, pair)][frozenset([0])] = frozenset([0])
+        for w3 in poset4.down_set(pair) - {pair}:
+            table[(pair, w3)][frozenset([0])] = unit
+        with pytest.raises(InputError, match=r"^theta table has no entry for \(0,1\|2,3, 0,1\|2,3, \[0\]\)$"):
+            check_coarsening_axioms(poset4, table)
+        table[(pair, pair)][frozenset([0])] = frozenset([0])
+        report = check_coarsening_axioms(poset4, table)
+        assert str(report) == brute_coarsening_report(
+            4, Mode.WITH_CONSTANTS, lambda w1, w2, alpha: table[(w1, w2)][alpha]
+        )
+        assert report.violations == [
+            "composition fails on [0] along 0|1|2|3 -> 0,1|2|3 -> 0,1|2,3",
+            "composition fails on [0] along 0|1|2|3 -> 0|1|2,3 -> 0,1|2,3",
+        ]
 
 
 class TestValuationSieve:
@@ -616,6 +656,47 @@ class TestAuditSecondRoute:
         rho = rand_density_state(np.random.default_rng(n), n)
         restriction = check_restriction_compatibility(rho, poset)
         assert restriction.ok and restriction.checks == brute_restriction_checks(n, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coarsening_reports(self, n, mode):
+        """`check_coarsening_axioms` reports, byte for byte, against the
+        report rebuilt from the axioms' definitions on frozensets: the
+        canonical map (by default and as a table), the map of the report
+        text test, and seeded broken maps, some of whose answers lose atoms
+        or are not elements of w2 (so composition asks off w2's elements)."""
+        poset = diag_poset(n, mode)
+        canonical = brute_coarsening_report(n, mode, brute_coarsening)
+        assert str(check_coarsening_axioms(poset)) == canonical
+        table = {
+            (w1, w2): {alpha: brute_coarsening(w1, w2, alpha) for alpha in brute_node_elements(w1)}
+            for w1 in poset.nodes
+            for w2 in brute_subalgebras(n, mode, w1)
+        }
+        assert str(check_coarsening_axioms(poset, table)) == canonical
+        discrete = Partition.discrete(n)
+        remap = {frozenset([0]): frozenset(), frozenset(range(n)): frozenset([0])}
+
+        def text_map(w1, w2, alpha):
+            # canonical, except at the discrete node within itself (the map of test_report)
+            if w1 == w2 == discrete and alpha:
+                return remap.get(alpha, alpha)
+            return brute_coarsening(w1, w2, alpha)
+
+        off = set()
+
+        def watched(theta):
+            def ask(w1, w2, alpha):
+                if alpha not in poset.elements(w1):
+                    off.add(alpha)
+                return theta(w1, w2, alpha)
+            return ask
+
+        seeds = range(4 if n < 5 else 2)
+        maps = [text_map] + [broken_coarsening(n, mode, 100 * n + seed, count=1 + seed) for seed in seeds]
+        for theta in maps:
+            assert str(check_coarsening_axioms(poset, watched(theta))) == brute_coarsening_report(n, mode, theta)
+        assert off or n < 3
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", range(1, 6))
