@@ -5,7 +5,10 @@ presented by its atoms.  All subalgebras of one top context form a
 poset: a subalgebra's atoms are sums of top atoms over the blocks of a
 partition, and inclusion runs opposite to refinement.  Elements of a
 node are unions of its blocks, written as frozensets of top-atom
-indices, so all poset computations are exact set arithmetic.
+indices, so all poset computations are exact set arithmetic.  A node of
+b blocks is a Boolean algebra of b atoms, so its elements are indexed
+like the subsets of a b-point spectrum: element x is the union of the
+blocks j for which bit j of x is set.
 
 Truth values over a node are down-closed sets of subalgebras (further
 coarsenings).  A density matrix induces such a truth value for each
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import InputError, NotSubalgebraError, ZeroNormError
 from .report import Report, _check_order, _pair_table
-from .sieves import MAX_POSET_ATOMS, Mode, Partition, Sieve, _bits, _image, _images, _lattice, _mask_of, _row_masks, mass_rows, subset_masses
+from .sieves import MAX_POSET_ATOMS, Mode, Partition, Sieve, _bits, _image, _images, _lattice, _mask_of, _row_masks, _unions, mass_rows, subset_masses
 from .spectral import (
     DEFAULT_TOL,
     QuantumState,
@@ -143,8 +146,9 @@ class SubalgebraPoset:
         return frozenset(self.nodes[j] for j in _bits(self._lattice.up[self._require(w)]))
 
     def elements(self, w: Partition) -> tuple[Element, ...]:
-        """All elements of node w as frozensets of top-atom indices,
-        in a deterministic order."""
+        """All elements of node w as frozensets of top-atom indices:
+        element x is the union of the blocks j for which bit j of x is
+        set."""
         self._require(w)
         return _node_elements(w)
 
@@ -170,13 +174,18 @@ class SubalgebraPoset:
         return f"SubalgebraPoset(atoms={self.top.n_atoms}, nodes={len(self.nodes)})"
 
 
+def _node_masks(w: Partition) -> list[int]:
+    """The subset bitmasks of w's elements: at x, the union of the blocks
+    j for which bit j of x is set."""
+    return _unions([sum(1 << i for i in block) for block in w.blocks])
+
+
+# Filled by `elements` and `check_local_valuation` only; no poset-wide
+# audit reads it.
 @lru_cache(maxsize=None)
 def _node_elements(w: Partition) -> tuple[Element, ...]:
-    """The unions of w's blocks, ordered by size, then by sorted indices;
-    sorted once per partition."""
-    out = (frozenset(i for b in combo for i in b)
-           for n in range(w.n_blocks + 1) for combo in itertools.combinations(w.blocks, n))
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    """w's elements as frozensets, in `_node_masks` order."""
+    return tuple(frozenset(_bits(m)) for m in _node_masks(w))
 
 
 def _element_mask(w: Partition, alpha: Iterable[int]) -> Optional[int]:
@@ -193,13 +202,13 @@ def _element_mask(w: Partition, alpha: Iterable[int]) -> Optional[int]:
 def _node_tables(n: int, mode: Mode) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Per node of the n-atom poset, in lattice order: the image of each
     of the 2^n subset bitmasks (the union of the node's blocks that meet
-    it: the node's column of `_images`), and the node's element masks in
-    `SubalgebraPoset.elements` order.  Only the audits build these tables,
-    and past MAX_POSET_ATOMS atoms they refuse before building them."""
+    it: the node's column of `_images`), and the node's `_node_masks`.
+    Only the audits build these tables, and past MAX_POSET_ATOMS atoms
+    they refuse before building them."""
     if n > MAX_POSET_ATOMS:
         raise InputError(f"a poset audit over {n} atoms is out of reach; at most {MAX_POSET_ATOMS} atoms are supported")
     images = tuple(map(tuple, _images(n, mode).T.tolist()))
-    return images, tuple(tuple(_mask_of(e, n, "atom") for e in _node_elements(w)) for w in _lattice(n, mode).parts)
+    return images, tuple(tuple(_node_masks(w)) for w in _lattice(n, mode).parts)
 
 
 def canonical_coarsening(
@@ -266,15 +275,15 @@ class _SlotIndex(NamedTuple):
     start: np.ndarray  # per node pair, its first slot; then the slot count
     pairs: np.ndarray  # per node pair, (w1, w2)
     position: np.ndarray  # at w << n | mask, the mask's index among w's elements, or -1
-    nested: tuple[np.ndarray, np.ndarray]  # every node's nested element index pairs x within y, x != y
-    monotone: _Rows  # per node pair: its first slot, the first of w1's nested pairs
+    nested: tuple[np.ndarray, np.ndarray]  # per block count b = 0..n, the `_pair_table` pairs x within y, x != y
+    monotone: _Rows  # per node pair: its first slot, the first nested pair of w1's block count
     chains: _Rows  # per chain w3 within w2 within w1: the first slots of (w1, w2), (w1, w3), (w2, w3); w2 << n
 
 
 # One index is kept, that of the last (n, mode) audited: an 8-atom index
-# holds about 65 MB, mostly its two slot arrays (9.9 million slots) and
+# holds about 60 MB, mostly its two slot arrays (9.9 million slots) and
 # its 1.9 million chains, and the previous index is dropped before the
-# next is built.
+# next is built; a two-mode 8-atom audit peaks at 187 MB RSS.
 _SLOT_INDEX: dict[tuple[int, Mode], "_SlotIndex"] = {}
 
 
@@ -287,11 +296,13 @@ def _slot_index(n: int, mode: Mode) -> _SlotIndex:
 
 def _build_slot_index(n: int, mode: Mode) -> _SlotIndex:
     """The slot index of (n, mode), from the node tables, the lattice's up
-    masks and each node's pair table."""
+    masks and the pair table of each block count."""
     _, elements = _node_tables(n, mode)
     images = _images(n, mode).astype(_MASK)
-    ups = [list(_bits(u)) for u in _lattice(n, mode).up]
-    sizes = np.array([len(e) for e in elements], dtype=np.int32)
+    lattice = _lattice(n, mode)
+    ups = [list(_bits(u)) for u in lattice.up]
+    blocks = np.array([w.n_blocks for w in lattice.parts], dtype=np.int32)
+    sizes = 1 << blocks
     pad = [np.zeros(1 << n, dtype=_MASK)]
     element = np.concatenate([np.tile(np.array(e, dtype=_MASK), len(u)) for e, u in zip(elements, ups)] + pad)
     canonical = np.concatenate([images[np.ix_(e, u)].T.ravel() for e, u in zip(elements, ups)] + pad)
@@ -301,7 +312,7 @@ def _build_slot_index(n: int, mode: Mode) -> _SlotIndex:
     position = np.full((len(elements), 1 << n), -1, dtype=np.int16)
     node, within = _ragged(sizes)
     position[node, np.array([a for e in elements for a in e], dtype=np.int64)] = within
-    tables = [_pair_table(e, True)[0] for e in elements]
+    tables = [_pair_table(b, True)[0] for b in range(n + 1)]
     pad = np.zeros(3 ** n, dtype=np.int32)
     nested = (
         np.concatenate((np.fromiter((x for within in tables for x, ys in enumerate(within) for _ in ys), np.int32), pad)),
@@ -309,8 +320,9 @@ def _build_slot_index(n: int, mode: Mode) -> _SlotIndex:
     )
     counts = np.array([sum(map(len, within)) for within in tables], dtype=np.int32)
     del ups, tables
-    p = np.argsort(-counts[w1], kind="stable")
-    monotone = _chunked(counts[w1[p]], start[p], (np.cumsum(counts) - counts)[w1[p]])
+    b1 = blocks[w1]
+    p = np.argsort(-counts[b1], kind="stable")
+    monotone = _chunked(counts[b1[p]], start[p], (np.cumsum(counts) - counts)[b1[p]])
     # the chains of pair (w1, w2) run over the range of pairs (w2, w3)
     firsts = np.searchsorted(w1, np.arange(len(elements) + 1)).astype(np.int32)
     p12, k = _ragged(firsts[1:][w2] - firsts[:-1][w2])
@@ -357,10 +369,12 @@ def check_coarsening_axioms(poset: SubalgebraPoset, theta: Optional[ThetaMap] = 
         answers = index.canonical
     else:
         answers = np.zeros_like(index.canonical)
-        answers[:slots] = [
-            _ask(theta, n, nodes[i1], nodes[i2], alpha)
-            for i1, i2 in index.pairs.tolist() for alpha in _node_elements(nodes[i1])
-        ]
+        flat = []
+        for w1, masks, up in zip(nodes, _node_tables(n, poset.mode)[1], poset._lattice.up):
+            alphas = [frozenset(_bits(a)) for a in masks]
+            for i2 in _bits(up):
+                flat += [_ask(theta, n, w1, nodes[i2], alpha) for alpha in alphas]
+        answers[:slots] = flat
 
     def named(cells):
         """(w1, w2, element bits) of each slot."""

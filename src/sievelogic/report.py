@@ -53,19 +53,18 @@ class Report:
         return "\n".join(lines)
 
 
-# Bounded: a table holds the 3^b nested and 3^b disjoint pairs of an
-# element list of 2^b entries, 1 MB at b = 9; the 4140 nodes of an
-# 8-atom poset hold 19 MB in all.
-@lru_cache(maxsize=1 << 12)
-def _pair_table(elements: tuple[int, ...], distinct: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The index pairs the order axioms visit on one element list (subset
-    masks), built once per list: per element x, the indices y of the
-    elements containing it, and those of the elements disjoint from it;
-    y = x is left out when `distinct`.  Both come from one comparison of
-    every pair in numpy, cut into rows."""
+# Bounded: one table per block count b <= MAX_SPECTRUM and flag; a table
+# holds the 3^b nested and 3^b disjoint pairs, 1 MB at b = 9.
+@lru_cache(maxsize=20)
+def _pair_table(b: int, distinct: bool) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The index pairs the order axioms visit on the 2^b elements of a
+    Boolean algebra of b atoms, element x the union of the atoms j for
+    which bit j of x is set: per element x, the elements y containing it,
+    and those disjoint from it; y = x is left out when `distinct`.  Both
+    come from one comparison of every pair in numpy, cut into rows."""
     import numpy as np
 
-    masks = np.array(elements)
+    masks = np.arange(1 << b)
     tables = []
     for pairs in ((masks[:, None] & ~masks) == 0, (masks[:, None] & masks) == 0):
         if distinct:
@@ -76,16 +75,17 @@ def _pair_table(elements: tuple[int, ...], distinct: bool) -> tuple[tuple[tuple[
     return tuple(tables)
 
 
-def _check_order(report: Report, elements: tuple[int, ...], sieves: Sequence[int], true: Sequence[bool], distinct: bool) -> None:
+def _check_order(report: Report, elements: Sequence[int], sieves: Sequence[int], true: Sequence[bool], distinct: bool) -> None:
     """Monotonicity and exclusivity, for both sides' valuation axioms, of a
-    map from elements (subset masks) to sieve masks, on ordered index
-    pairs (x, y), all of them or, when `distinct`, those with x != y:
-    x within y needs sieve x within sieve y, and x disjoint from y with x
-    true needs y not true.  The pairs come from the element list's
-    `_pair_table`, so monotonicity visits the nested pairs only (3^k of
-    the 4^k over a k-point spectrum) and exclusivity the disjoint ones of
-    true elements only."""
-    within, disjoint = _pair_table(elements, distinct)
+    map from the 2^b elements of a Boolean algebra of b atoms (subset
+    masks, element x the union of the atoms at the bits of x) to sieve
+    masks, on ordered index pairs (x, y), all of them or, when `distinct`,
+    those with x != y: x within y needs sieve x within sieve y, and x
+    disjoint from y with x true needs y not true.  The pairs come from
+    the `_pair_table` of b, so monotonicity visits the nested pairs only
+    (3^b of the 4^b) and exclusivity the disjoint ones of true elements
+    only."""
+    within, disjoint = _pair_table(len(elements).bit_length() - 1, distinct)
     report.tally(sum(map(len, within)), (
         f"monotonicity fails for {list(_bits(elements[x]))} within {list(_bits(elements[y]))}"
         for x, ys in enumerate(within) for y in ys if sieves[x] & ~sieves[y]

@@ -147,8 +147,8 @@ MAX_SPECTRUM = 9
 
 # The most atoms a subalgebra-poset audit takes: its tables hold each
 # node's image of every subset, and its cost grows about 13x per atom.
-# check_coarsening_axioms on a diagonal context takes 0.3-0.4 s at 7
-# atoms and 3.7-4.2 s at 8 (one mode, unpinned runs, 2-core host); at 9
+# check_coarsening_axioms on a diagonal context takes 0.2 s at 7 atoms
+# and 2.6-3.2 s at 8 (one mode, unpinned runs, 2-core host); at 9
 # the image table alone would hold 21147 x 512 ints.
 MAX_POSET_ATOMS = 8
 
@@ -262,6 +262,15 @@ def _mask_of(indices: Iterable[int], k: int, noun: str) -> int:
             raise InputError(f"{noun} index outside 0..{k - 1}")
         mask |= 1 << j
     return mask
+
+
+def _unions(parts: Sequence[int]) -> list[int]:
+    """Per subset bitmask s of the indices of parts, the OR of parts[h]
+    over the bits h of s: u[s] = u[s ^ h] | parts[h] for the highest bit h."""
+    unions = [0]
+    for part in parts:
+        unions += [m | part for m in unions]
+    return unions
 
 
 def _image(p: Partition, subset: int) -> int:

@@ -167,21 +167,6 @@ def cluster_values(values: Sequence[float], eps: float) -> list[list[int]]:
     return groups
 
 
-def _fiber_value(values: Sequence[float]) -> float:
-    """The mean of a cluster of values, bit-identical to `np.mean`.
-    Below 8 values numpy's float64 sum adds left to right from 0.0 (so a
-    lone -0.0 becomes 0.0), which one loop repeats without a numpy call;
-    from 8 values on numpy keeps 8 partial sums, so `np.mean` is called
-    (`decompose` can cluster that many raw eigenvalues).  Not the builtin
-    `sum`: since Python 3.12 it compensates float rounding."""
-    if len(values) >= 8:
-        return float(np.mean(values))
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
-
-
 def _finite_reals(values: Iterable, what: str) -> tuple[float, ...]:
     """The values as floats; the InputError names the index of the first
     one that is not a finite real number."""
@@ -248,8 +233,14 @@ class SpectralOperator:
         return _subset_sum(self.projectors, indices, "eigenvalue")
 
     def eigenvalue_index(self, value: float, eps: float) -> int:
-        """Index of the eigenvalue matching `value` within eps."""
-        if not math.isfinite(value):
+        """Index of the eigenvalue matching `value` within eps; a value
+        that is not a finite real (a bool included) raises InputError."""
+        _require_real(value, "eigenvalue")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise InputError(f"eigenvalue {value!r} is not finite")
         diffs = [abs(v - value) for v in self.eigenvalues]
         i = int(np.argmin(diffs))
@@ -279,7 +270,7 @@ def decompose(m, tol: Tolerances = DEFAULT_TOL) -> SpectralOperator:
     eigenvalues = []
     projectors = []
     for g in groups:
-        eigenvalues.append(_fiber_value([float(raw[i]) for i in g]))
+        eigenvalues.append(float(np.mean(raw[g])))
         cols = vecs[:, g]
         p = cols @ cols.conj().T
         projectors.append((p + p.conj().T) / 2.0)
@@ -321,11 +312,11 @@ def normalize_value_map(a: SpectralOperator, f: ValueMap) -> tuple[float, ...]:
 
 def value_fibers(a: SpectralOperator, f: ValueMap, tol: Tolerances = DEFAULT_TOL) -> CoarseGraining:
     """The coarse-graining of a's eigenvalue indices by f, based at a:
-    each value is replaced by its cluster's `_fiber_value` (the mean,
-    bit-identical to `np.mean`), and the indices are grouped into
-    fibers, in canonical block order, labeled by those values.  f is
-    normalized and checked on every call; the fibers, labels and index
-    map come from `_fibers`, built once per (values, eps_group)."""
+    each value is replaced by its cluster's `np.mean`, and the indices
+    are grouped into fibers, in canonical block order, labeled by those
+    values.  f is normalized and checked on every call; the fibers,
+    labels and index map come from `_fibers`, built once per (values,
+    eps_group)."""
     return CoarseGraining._of_checked(*_fibers(normalize_value_map(a, f), tol.eps_group), a)
 
 
@@ -340,7 +331,7 @@ def _fibers(values: tuple[float, ...], eps: float) -> tuple[Partition, tuple[flo
     cache keeps no exceptions)."""
     snapped = list(values)
     for g in cluster_values(values, eps):
-        label = _fiber_value([values[i] for i in g])
+        label = float(np.mean([values[i] for i in g]))
         for i in g:
             snapped[i] = label
     cg = _from_values(snapped, None)

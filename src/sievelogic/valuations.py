@@ -51,6 +51,7 @@ from .sieves import (
     _mask_of,
     _pullback_table,
     _row_masks,
+    _unions,
     mass_rows,
     subset_masses,
 )
@@ -161,7 +162,7 @@ class GeneralizedValuation:
     The mode is part of the valuation, so sieves from different modes can
     never be compared by accident.  Every answer comes from one bit
     matrix per operator, `_matrix`, kept with its rows as int masks;
-    `sieve_mask` reads one mask, and the audits compare whole rows.
+    `evaluate` reads one mask, and the audits compare whole rows.
     """
 
     def __init__(self, kind, mode, *, partial=None, state=None, r=1.0, tol=DEFAULT_TOL):
@@ -244,24 +245,8 @@ class GeneralizedValuation:
             entry[1:] = bits, _row_masks(bits)
         return entry[1], entry[2]
 
-    def sieve_mask(self, a: SpectralOperator, s: int) -> int:
-        """The sieve mask of the proposition that a's value lies in the
-        subset with bitmask s (bit i = eigenvalue index i)."""
-        if not (isinstance(s, int) and not isinstance(s, bool) and 0 <= s < 1 << a.k):
-            raise InputError(f"subset bitmask {s!r} is not an int in 0..{(1 << a.k) - 1}")
-        return self._row(a)[1][s]
-
     def evaluate(self, p: Proposition) -> Sieve:
         return Sieve._of_mask(p.operator.k, self.mode, self._row(p.operator)[1][p.bits])  # bits checked by Proposition
-
-
-def _unions(parts: Sequence[int]) -> list[int]:
-    """Per subset bitmask s of the indices of parts, the OR of parts[h]
-    over the bits h of s: u[s] = u[s ^ h] | parts[h] for the highest bit h."""
-    unions = [0]
-    for part in parts:
-        unions += [m | part for m in unions]
-    return unions
 
 
 class _Gathers(NamedTuple):
@@ -377,7 +362,7 @@ def check_axioms(nu: GeneralizedValuation, a: SpectralOperator) -> Report:
     true = [m == full != 0 for m in sieves]  # an empty lattice is only totally false
 
     report.record(not sieves[0], "null condition: empty subset not totally false")
-    _check_order(report, tuple(range(1 << a.k)), sieves, true, distinct=False)
+    _check_order(report, range(1 << a.k), sieves, true, distinct=False)
     if nu.kind == "partial":
         status = "holds" if true[-1] else "violated (legal for partial-valuation families)"
         report.notes.append(f"unit condition: {status}")
@@ -393,7 +378,7 @@ def check_disjunction_strength(
     """Whether the sieve of a union equals the join of the sieves, or
     strictly exceeds it."""
     s1, s2 = _mask_of(d1, a.k, "eigenvalue"), _mask_of(d2, a.k, "eigenvalue")
-    sieves = nu._row(a)[1]  # the masks are checked: no `sieve_mask` re-check
+    sieves = nu._row(a)[1]  # the masks are checked: index the row directly
     union, joined = sieves[s1 | s2], sieves[s1] | sieves[s2]
     if joined & ~union:
         raise InputError("join exceeds the union sieve; monotonicity is broken")

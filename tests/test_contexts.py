@@ -23,6 +23,7 @@ from sievelogic import (
     ZeroNormError,
     bell_number,
     canonical_coarsening,
+    check_axioms,
     check_coarsening_axioms,
     check_local_valuation,
     check_restriction_compatibility,
@@ -33,6 +34,7 @@ from sievelogic import (
     true_w,
     valuation_sieve,
 )
+from sievelogic import contexts
 from sievelogic.contexts import _node_tables
 from sievelogic.sieves import _image
 from sievelogic.spectral import max_abs
@@ -733,34 +735,63 @@ class TestAuditSecondRoute:
 
     def test_pair_tables_match_definition(self):
         """`report._pair_table`, built in numpy, against the pairs of its
-        definition on every node of the 5-atom poset and every spectrum
-        of up to 6 points, with and without x = y."""
-        lists = [*_node_tables(5, Mode.WITH_CONSTANTS)[1], *(tuple(range(1 << k)) for k in range(1, 7))]
-        for elements, distinct in itertools.product(lists, (True, False)):
-            span = range(len(elements))
+        definition on the 2^b elements of b atoms (element x the union of
+        the atoms at its bits), for b = 0..9, with and without x = y."""
+        for b, distinct in itertools.product(range(10), (True, False)):
+            span = range(1 << b)
             pairs = [[y for y in span if not (distinct and x == y)] for x in span]
-            assert report._pair_table(elements, distinct) == (
-                tuple(tuple(y for y in ys if not elements[x] & ~elements[y]) for x, ys in enumerate(pairs)),
-                tuple(tuple(y for y in ys if not elements[x] & elements[y]) for x, ys in enumerate(pairs)),
+            assert report._pair_table(b, distinct) == (
+                tuple(tuple(y for y in ys if not x & ~y) for x, ys in enumerate(pairs)),
+                tuple(tuple(y for y in ys if not x & y) for x, ys in enumerate(pairs)),
             )
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_pair_tables_per_element_list(self, mode):
-        """Nodes 0|1|2,3 and 0,1|2|3 have eight elements each, but {0,1}
-        is a union of two blocks in one and a block in the other: each
-        gets its own pair table, and a broken map reports at both, one
-        after the other, as the definitions say."""
+    def test_pair_table_per_block_count(self, mode):
+        """Nodes 0|1|2,3 and 0,1|2|3 have three blocks each, but {0,1} is
+        a union of two blocks in one and a block in the other: both read
+        the one pair table of three blocks, and a broken map reports at
+        both, one after the other, as the definitions say."""
         poset = diag_poset(4, mode)
-        tables = []
+        report._pair_table.cache_clear()
         for w in (Partition.of([(0,), (1,), (2, 3)]), Partition.of([(0, 1), (2,), (3,)])):
-            tables.append(report._pair_table(tuple(sum(1 << i for i in e) for e in poset.elements(w)), True))
             full, empty = true_w(poset, w), SubalgebraSieve(poset, w, [])
             phi = {alpha: full if 0 < len(alpha) < 3 else empty for alpha in poset.elements(w)}
             values = {alpha: value.members for alpha, value in phi.items()}
             want = brute_axiom_report("poset", values, frozenset(brute_subalgebras(4, mode, w)))
             assert "monotonicity" in want and "exclusivity" in want
             assert str(check_local_valuation(poset, w, phi)) == want
-        assert tables[0] != tables[1]
+        info = report._pair_table.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_elements_by_block_bitmask(self, n, mode):
+        """Element x of a node is the union of the blocks j for which bit
+        j of x is set."""
+        poset = diag_poset(n, mode)
+        for w in poset.nodes:
+            elements = poset.elements(w)
+            assert len(elements) == 1 << w.n_blocks
+            for x, alpha in enumerate(elements):
+                assert alpha == frozenset(i for j, block in enumerate(w.blocks) if x >> j & 1 for i in block)
+
+    def test_audits_cache_no_element_lists(self):
+        """Audits in both modes at 6 atoms, and the spectrum axioms on 2 to
+        6 points, leave one pair table per block count and flag, and no
+        node's frozensets."""
+        report._pair_table.cache_clear()
+        contexts._node_elements.cache_clear()
+        rho = rand_density_state(np.random.default_rng(6), 6)
+        for mode in MODES:
+            poset = diag_poset(6, mode)
+            assert check_coarsening_axioms(poset).ok
+            assert check_coarsening_axioms(poset, brute_coarsening).ok
+            assert check_restriction_compatibility(rho, poset).ok
+            for k in range(2, 7):
+                a = decompose(np.diag(np.arange(float(k))))
+                assert check_axioms(GeneralizedValuation.from_state(QuantumState.vector(np.ones(k)), mode), a).ok
+        assert report._pair_table.cache_info().currsize <= 14
+        assert contexts._node_elements.cache_info().currsize == 0
 
     def test_four_atom_counts(self):
         assert brute_coarsening_checks(4, Mode.WITH_CONSTANTS) == 4046

@@ -1,3 +1,5 @@
+import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +16,7 @@ from sievelogic import (
     InputError,
     Mode,
     NotHermitianError,
+    Proposition,
     QuantumState,
     Tolerances,
     Partition,
@@ -212,6 +215,24 @@ class TestDecompose:
         assert a.eigenvalue_index(0.5, 1e-8) == 1
         with pytest.raises(InputError):
             a.eigenvalue_index(0.4, 1e-8)
+
+    @pytest.mark.parametrize("value, message", [
+        ("a", "eigenvalue must be a real number, got 'a'"),
+        (None, "eigenvalue must be a real number, got None"),
+        (True, "eigenvalue must be a real number, got True"),
+        (1j, "eigenvalue must be a real number, got 1j"),
+        (10**400, "is not finite"),
+        (float("nan"), "eigenvalue nan is not finite"),
+        (-math.inf, "eigenvalue -inf is not finite"),
+    ], ids=["str", "None", "bool", "complex", "huge-int", "nan", "-inf"])
+    def test_eigenvalue_index_rejects_non_finite_reals(self, value, message):
+        # 'a' and None once raised TypeError, 10**400 OverflowError, and
+        # True was read as 1.0
+        a = decompose(np.diag([0.0, 1.0]))
+        with pytest.raises(InputError, match=re.escape(message)):
+            a.eigenvalue_index(value, 1e-8)
+        with pytest.raises(InputError, match=re.escape(message)):
+            Proposition.by_values(a, [0.0, value])
 
 
 class TestApplyFunction:
@@ -425,13 +446,16 @@ class TestFiberCache:
 
 
 class TestFiberValue:
-    """`_fiber_value` is `np.mean`, bit for bit."""
+    """A fiber's label is the `np.mean` of its values, ascending, bit for
+    bit."""
 
     def test_matches_numpy_mean(self):
         for values in fiber_clusters():
-            got = spectral._fiber_value(values)
-            assert type(got) is float
-            assert np.array([got]).tobytes() == np.array([np.mean(values)]).tobytes(), values
+            cg = value_fibers(diagonal_operator(len(values)), values)
+            for block, got in zip(cg.partition.blocks, cg.labels):
+                assert type(got) is float
+                want = np.mean(sorted(values[i] for i in block))  # in `cluster_values` order
+                assert np.array([got]).tobytes() == np.array([want]).tobytes(), values
 
     def test_ten_fold_eigenvalue(self):
         # ten raw eigenvalues within eps_group: a left-to-right sum of

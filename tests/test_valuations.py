@@ -218,18 +218,19 @@ class TestStateValuation:
         calls = []
         monkeypatch.setattr(valuations, "mass_rows", lambda *args: calls.append(args))
         assert nu.evaluate(p) == first
-        assert nu.sieve_mask(spin1_sx, 0b100) == first.mask
+        assert nu.evaluate(Proposition(spin1_sx, frozenset([2]))).mask == first.mask
         assert calls == []
 
     @pytest.mark.parametrize("s", [-1, 8, 2.0, "1", None, True])
     def test_sieve_mask_rejects_bad_subset(self, spin1_sx, spin1_psi, s):
-        # -1 once read the last entry of the row (the full spectrum) and 8
-        # raised a bare IndexError
+        # a sieve mask is read through a Proposition, which refuses an
+        # index outside 0..2 (-1 must not read the row's last entry) or
+        # one that is not an int
         nu = GeneralizedValuation.from_state(spin1_psi, Mode.WITH_CONSTANTS)
-        with pytest.raises(InputError, match=r"is not an int in 0\.\.7$"):
-            nu.sieve_mask(spin1_sx, s)
-        assert nu.sieve_mask(spin1_sx, 7) == Sieve.totally_true(3, Mode.WITH_CONSTANTS).mask
-        assert nu.sieve_mask(spin1_sx, 0) == 0
+        with pytest.raises(InputError, match=r"^eigenvalue index "):
+            nu.evaluate(Proposition(spin1_sx, frozenset([s])))
+        assert nu.evaluate(Proposition(spin1_sx, frozenset(range(3)))).mask == Sieve.totally_true(3, Mode.WITH_CONSTANTS).mask
+        assert nu.evaluate(Proposition(spin1_sx, frozenset())).mask == 0
 
     def test_coarse_rows_not_kept(self):
         # every naturality square builds f(a)'s matrix from a's kept data
@@ -666,12 +667,12 @@ def _supported_state(rng, a, kind):
 
 class TestMaskRowSecondRoute:
     """Every entry of a valuation's per-operator row of sieve masks,
-    read through `sieve_mask` on each subset bitmask, against the
-    block-mass and per-partition definitions."""
+    read through `evaluate` on each subset, against the block-mass and
+    per-partition definitions."""
 
     @staticmethod
     def _row(nu, a):
-        return [Sieve._of_mask(a.k, nu.mode, nu.sieve_mask(a, s)).partitions for s in range(1 << a.k)]
+        return [nu.evaluate(Proposition(a, TestMaskRowSecondRoute._subset(s))).partitions for s in range(1 << a.k)]
 
     @staticmethod
     def _subset(s):
@@ -813,8 +814,8 @@ class TestGathersRecord:
             record = valuations._gathers(to, mode)
             want = (
                 sieves._pullback_table(to, mode),
-                valuations._unions([1 << j for j in to]),
-                valuations._unions(fibers),
+                sieves._unions([1 << j for j in to]),
+                sieves._unions(fibers),
             )
             for table, expected in zip(record, want):
                 assert table.dtype == np.intp and table.tolist() == list(expected)
