@@ -150,7 +150,7 @@ class SubalgebraPoset:
         element x is the union of the blocks j for which bit j of x is
         set."""
         self._require(w)
-        return _node_elements(w)
+        return tuple(_node_elements(w))
 
     def is_element(self, w: Partition, alpha: Element) -> bool:
         self._require(w)
@@ -160,10 +160,11 @@ class SubalgebraPoset:
         """The sieve mask of every subset bitmask under the state's atom
         weights: their `subset_masses` through one `mass_rows` per (state,
         cutoff), kept for the life of the poset."""
-        if (rho, cutoff) not in self._rows:
+        row = self._rows.get((rho, cutoff))
+        if row is None:
             masses = subset_masses(rho.weights(self.top.atoms))
-            self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, masses, cutoff))
-        return self._rows[rho, cutoff]
+            row = self._rows[rho, cutoff] = _row_masks(mass_rows(self.top.n_atoms, self.mode, masses, cutoff))
+        return row
 
     def node_context(self, w: Partition) -> BooleanContext:
         """The node as a standalone context with block-sum atoms."""
@@ -177,15 +178,16 @@ class SubalgebraPoset:
 def _node_masks(w: Partition) -> list[int]:
     """The subset bitmasks of w's elements: at x, the union of the blocks
     j for which bit j of x is set."""
-    return _unions([sum(1 << i for i in block) for block in w.blocks])
+    return _unions(w.masks)
 
 
 # Filled by `elements` and `check_local_valuation` only; no poset-wide
 # audit reads it.
 @lru_cache(maxsize=None)
-def _node_elements(w: Partition) -> tuple[Element, ...]:
-    """w's elements as frozensets, in `_node_masks` order."""
-    return tuple(frozenset(_bits(m)) for m in _node_masks(w))
+def _node_elements(w: Partition) -> dict[Element, int]:
+    """w's elements as frozensets, each mapped to its `_node_masks` position
+    (one dict shared by every caller)."""
+    return {frozenset(_bits(m)): x for x, m in enumerate(_node_masks(w))}
 
 
 def _element_mask(w: Partition, alpha: Iterable[int]) -> Optional[int]:
@@ -544,15 +546,16 @@ def check_local_valuation(
     map at one node, with the unit condition reported as a note.  Every
     key must be an element of the node and every value a truth value
     at it."""
-    i = poset._require(w)
-    elements = _node_tables(poset.top.n_atoms, poset.mode)[1][i]
-    position = {e: x for x, e in enumerate(_node_elements(w))}
+    i, n = poset._require(w), poset.top.n_atoms
+    elements = _node_tables(n, poset.mode)[1][i]
+    position = _node_elements(w)
     sieves = [None] * len(elements)
     for alpha, value in phi.items():
         x = position.get(alpha)
         if x is None:
             raise InputError(f"map key {alpha!r} is not an element of {w}")
-        if not isinstance(value, SubalgebraSieve) or value._site != (w, poset.mode):
+        # value._site == (w, poset.mode), read off its poset: node i is w in every n-atom poset of one mode
+        if not isinstance(value, SubalgebraSieve) or value._node != i or value.poset.mode is not poset.mode or value.poset.top.n_atoms != n:
             raise InputError(f"the value at {sorted(alpha)} is not a truth value at {w}")
         sieves[x] = value._mask
     if None in sieves:
@@ -571,17 +574,17 @@ def check_restriction_compatibility(
 ) -> Report:
     """For every inclusion w2 within w1 and every element of w1, the
     truth value at w2 of the coarse-grained element must equal the
-    restriction of the truth value at w1."""
+    restriction of the truth value at w1.  That check reads only w2 and the
+    element, so it is decided once per node and subset, and only failing
+    (w2, subset) pairs are expanded to the w1 holding the subset."""
     images, elements = _node_tables(poset.top.n_atoms, poset.mode)
     sieves = poset._row(rho, 1.0 - tol.tau_one)
     nodes, up = poset.nodes, poset._lattice.up
-    report = Report("restriction compatibility")
+    failing = [sum([1 << a for a, t in enumerate(image) if t != a and (sieves[t] ^ sieves[a]) & down])
+               for image, down in zip(images, up)]
+    report = Report("restriction compatibility", sum(len(els) * u.bit_count() for els, u in zip(elements, up)))
+    failed = sum(1 << i2 for i2, bad in enumerate(failing) if bad)
     for i1, w1 in enumerate(nodes):
-        els = elements[i1]
-        for i2 in _bits(up[i1]):
-            image, down = images[i2], up[i2]
-            report.tally(len(els), (
-                f"mismatch at {list(_bits(a))} along {w1} -> {nodes[i2]}"
-                for a in els if sieves[image[a]] & down != sieves[a] & down
-            ))
+        for i2 in _bits(up[i1] & failed):
+            report.violations += [f"mismatch at {list(_bits(a))} along {w1} -> {nodes[i2]}" for a in elements[i1] if failing[i2] >> a & 1]
     return report.finish()

@@ -60,18 +60,30 @@ class Partition:
 
     blocks are internally sorted tuples, ordered by least element.  The
     canonical form makes equality, hashing and lexicographic ordering
-    plain tuple operations.
+    plain tuple operations.  k, the block bitmasks `masks` and the hash
+    are computed once, from blocks taken as given; `of` checks input.
     """
 
     blocks: tuple[tuple[int, ...], ...]
+    k: int = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # frozen: set through object.__setattr__; writing __dict__ directly would materialize it and slow attribute reads
+        object.__setattr__(self, "k", sum(map(len, self.blocks)))
+        object.__setattr__(self, "masks", tuple(sum(1 << i for i in b) for b in self.blocks))
+        object.__setattr__(self, "_hash", hash((self.blocks,)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "Partition":
-        # disjoint blocks sort by least element; an empty block fails _validate
-        canon = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
-        p = Partition(canon)
-        p._validate()
-        return p
+        # disjoint blocks sort by least element; checked before the masks are built
+        canon = tuple(sorted(tuple(sorted({_index(i, "element") for i in b})) for b in blocks))
+        Partition._validate(canon)
+        return Partition(canon)
 
     @staticmethod
     def discrete(k: int) -> "Partition":
@@ -83,20 +95,17 @@ class Partition:
             raise InputError("partition base must be nonempty")
         return Partition((tuple(range(k)),))
 
-    def _validate(self) -> None:
+    @staticmethod
+    def _validate(blocks: tuple[tuple[int, ...], ...]) -> None:
         seen: set[int] = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise InputError("empty block in partition")
             if seen & set(b):
                 raise InputError("overlapping blocks in partition")
             seen |= set(b)
-        if not self.blocks or seen != set(range(len(seen))):
+        if not blocks or seen != set(range(len(seen))):
             raise InputError("blocks must cover a range {0..k-1}")
-
-    @property
-    def k(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
     @property
     def n_blocks(self) -> int:
@@ -104,6 +113,7 @@ class Partition:
 
     def block_of(self, i: int) -> int:
         """Index (canonical position) of the block containing element i."""
+        i = i if type(i) is int else _index(i, "element")
         for pos, b in enumerate(self.blocks):
             if i in b:
                 return pos
@@ -274,13 +284,9 @@ def _unions(parts: Sequence[int]) -> list[int]:
 
 
 def _image(p: Partition, subset: int) -> int:
-    """The union of p's blocks that meet a subset, both as bitmasks.  A
-    partition's blocks are checked indices, so they skip `_mask_of`."""
+    """The union of p's blocks that meet a subset, both as bitmasks."""
     union = 0
-    for block in p.blocks:
-        b = 0
-        for j in block:
-            b |= 1 << j
+    for b in p.masks:
         if b & subset:
             union |= b
     return union
@@ -375,7 +381,8 @@ class Sieve:
     __slots__ = ("k", "mode", "mask", "_lattice")
 
     def __init__(self, k: int, mode: Mode, partitions: Iterable[Partition]):
-        lattice = _lattice(k, mode)
+        # each constructor checks k before the `_lattice` cache, which reads True as 1
+        lattice = _lattice(_index(k, "spectrum size"), mode)
         mask = 0
         for p in partitions:
             i = lattice.index.get(p)
@@ -410,11 +417,11 @@ class Sieve:
 
     @staticmethod
     def totally_true(k: int, mode: Mode) -> "Sieve":
-        return Sieve._of_mask(k, mode, _lattice(k, mode).full)
+        return Sieve._of_mask(k, mode, _lattice(_index(k, "spectrum size"), mode).full)
 
     @staticmethod
     def totally_false(k: int, mode: Mode) -> "Sieve":
-        return Sieve._of_mask(k, mode, 0)
+        return Sieve._of_mask(_index(k, "spectrum size"), mode, 0)
 
     # -- basic protocol ----------------------------------------------
 
@@ -514,10 +521,10 @@ def _pullback_table(to: tuple[int, ...], mode: Mode) -> tuple[int, ...]:
 
 def up_closure(k: int, mode: Mode, seed: Iterable[Partition]) -> Sieve:
     """Smallest sieve containing the seed partitions."""
-    lattice = _lattice(k, mode)
+    lattice = _lattice(_index(k, "spectrum size"), mode)
     mask = 0
     for p in seed:
-        if p.k != k:
+        if not isinstance(p, Partition) or p.k != k:
             raise InputError(f"seed partition {p} not over a {k}-element base")
         i = lattice.index.get(p)
         if i is None:

@@ -412,6 +412,31 @@ def brute_restriction_checks(n: int, mode: Mode) -> int:
     )
 
 
+def brute_restriction_report(poset: SubalgebraPoset, rows) -> str:
+    """The text of the restriction audit of a poset, rebuilt from its
+    definition on frozensets.  `rows[s]` is the sieve mask of subset
+    bitmask s (bit j = top atom j) over the poset's nodes (bit i =
+    `poset.nodes[i]`).  Per inclusion w2 within w1 and element alpha of
+    w1, the truth value at w2 of alpha's least dominating element of w2
+    must equal the truth value of alpha restricted to w2's subalgebras."""
+    n, mode = poset.top.n_atoms, poset.mode
+
+    @lru_cache(maxsize=None)
+    def truth(w2: Partition, alpha: frozenset) -> frozenset[Partition]:
+        mask = rows[sum(1 << i for i in alpha)]
+        return frozenset(q for j, q in enumerate(poset.nodes) if mask >> j & 1 and q in brute_subalgebras(n, mode, w2))
+
+    checks, violations = 0, []
+    for w1 in admissible_partitions(n, mode):
+        for w2 in brute_subalgebras(n, mode, w1):
+            for alpha in brute_node_elements(w1):
+                checks += 1
+                if truth(w2, brute_coarsening(w1, w2, alpha)) != truth(w2, alpha):
+                    violations.append(f"mismatch at {sorted(alpha)} along {w1} -> {w2}")
+    status = f"{len(violations)} violation(s)" if violations else "ok"
+    return "\n".join([f"restriction compatibility: {checks} checks, {status}"] + [f"  violation: {v}" for v in sorted(violations)])
+
+
 def brute_valuation_sieve(n: int, mode: Mode, w: Partition, alpha, weights, cutoff: float) -> frozenset[Partition]:
     """Subalgebras of w whose blocks meeting alpha carry atom weight at
     least cutoff, summed over their union in index order."""

@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +47,7 @@ from helpers import (
     brute_coarsening_report,
     brute_node_elements,
     brute_restriction_checks,
+    brute_restriction_report,
     brute_subalgebras,
     brute_valuation_sieve,
     least_dominating_oracle,
@@ -402,6 +404,21 @@ class TestLocalValuation:
         with pytest.raises(InputError, match=r"the value at \[0, 2\]"):
             check_local_valuation(poset, FINEST3, phi)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_values_at_the_same_node_index_elsewhere_rejected(self, mode):
+        """A truth value whose node has the bit index of w, but in a poset
+        of another mode or atom count, is not a truth value at w."""
+        poset = diag_poset(3, mode)
+        others = [diag_poset(3, m) for m in MODES if m is not mode] + [diag_poset(n, mode) for n in (2, 4)]
+        for i, w in enumerate(poset.nodes):
+            phi = {alpha: true_w(poset, w) for alpha in poset.elements(w)}
+            assert check_local_valuation(poset, w, phi).checks  # accepted as values at w
+            for other in others:
+                if i < len(other.nodes):
+                    phi[frozenset()] = true_w(other, other.nodes[i])
+                    with pytest.raises(InputError, match=r"the value at \[\] is not a truth value at " + re.escape(str(w))):
+                        check_local_valuation(poset, w, phi)
+
     def test_values_from_an_equal_poset_accepted(self, poset4):
         # truth values are compared by base, mode and mask, as in ==
         twin = SubalgebraPoset(BooleanContext(poset4.top.atoms))
@@ -732,6 +749,32 @@ class TestAuditSecondRoute:
                 values = {alpha: value.members for alpha, value in phi.items()}
                 want = brute_axiom_report("poset", values, frozenset(down))
                 assert str(check_local_valuation(poset, w, phi)) == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_restriction_reports(self, n, mode):
+        """`check_restriction_compatibility` reports, byte for byte, against
+        the report rebuilt from its definition on frozensets: a state's
+        row, and seeded rows with sieve bits flipped at a few subsets, so
+        that (w2, subset) pairs fail and are expanded to every w1."""
+        rng = np.random.default_rng([n, mode is Mode.WITH_CONSTANTS, 97])
+        poset = diag_poset(n, mode)
+        rho = rand_density_state(rng, n)
+        key = rho, 1.0 - DEFAULT_TOL.tau_one
+        rows = [poset._row(*key)]
+        for flips in (1, 2, 5) if poset.nodes else ():
+            row = list(rows[0])
+            for s, j in zip(rng.integers(1 << n, size=flips).tolist(), rng.integers(len(poset.nodes), size=flips).tolist()):
+                row[s] ^= 1 << j
+            rows.append(tuple(row))
+        reports = []
+        for row in rows:
+            poset._rows[key] = row
+            reports.append(str(check_restriction_compatibility(rho, poset)))
+            assert reports[-1] == brute_restriction_report(poset, row)
+        assert reports[0].endswith(" checks, ok")
+        # a poset of one node restricts only along w -> w, where the image of a is a
+        assert len(poset.nodes) < 2 or any("mismatch" in text for text in reports)
 
     def test_pair_tables_match_definition(self):
         """`report._pair_table`, built in numpy, against the pairs of its

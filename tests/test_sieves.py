@@ -67,6 +67,43 @@ class TestPartition:
         p = Partition.of([[0, 2], [1]])
         assert [p.block_of(i) for i in range(3)] == [0, 1, 0]
 
+    @pytest.mark.parametrize("blocks", [
+        [[True], [0]], [[0], [1.0]], [[0], [1, "a"]], [[0], [None]], [[np.True_, 0]], [[0, 1], [np.float64(2.0)]],
+    ])
+    def test_of_rejects_non_integer_elements(self, blocks):
+        # each element is read as an int before any block mask is built
+        with pytest.raises(InputError, match=r"^element index .* is not an integer$"):
+            Partition.of(blocks)
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1", None, np.float64(1.0)])
+    def test_block_of_rejects_non_integer_elements(self, i):
+        with pytest.raises(InputError, match=r"^element index .* is not an integer$"):
+            Partition.of([[0, 2], [1]]).block_of(i)
+
+    @pytest.mark.parametrize("blocks", [[[-1], [0]], [[0], [10**12]], [[0], [10**20, 1]]])
+    def test_out_of_range_elements_refused_before_the_shift(self, blocks):
+        with pytest.raises(InputError, match="cover a range"):
+            Partition.of(blocks)
+
+    def test_integer_like_elements_read_as_ints(self):
+        p = Partition.of([[np.int64(2), 0], [np.int16(1)]])
+        assert p == Partition.of([[0, 2], [1]]) and all(type(i) is int for b in p.blocks for i in b)
+        assert p.block_of(np.int64(2)) == 0
+
+    def test_computed_fields_match_their_definitions(self):
+        """k, masks and the hash are computed at construction; equality,
+        order, str and repr read blocks alone, as before."""
+        for k in range(1, 8):
+            parts = all_partitions(k)
+            for p in parts:
+                q = Partition.of(reversed([list(reversed(b)) for b in p.blocks]))
+                assert q == p and q.masks == p.masks and hash(p) == hash(q) == hash((p.blocks,))
+                assert p.k == sum(len(b) for b in p.blocks) == k
+                assert p.masks == tuple(sum(1 << i for i in b) for b in p.blocks)
+                assert repr(p) == f"Partition(blocks={p.blocks!r})"
+                assert str(p) == "|".join(",".join(map(str, b)) for b in p.blocks)
+            assert sorted(parts, key=lambda p: p.blocks) == sorted(reversed(parts)) == list(parts)
+
     def test_coarsens_refines(self):
         fine = Partition.discrete(3)
         mid = Partition.of([[0, 2], [1]])
@@ -158,6 +195,19 @@ class TestSieveConstruction:
     def test_rejects_wrong_size(self):
         with pytest.raises(InputError):
             Sieve(3, Mode.WITH_CONSTANTS, [Partition.one_block(2)])
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, "3", None, np.True_])
+    def test_spectrum_size_must_be_an_integer(self, k):
+        # checked before the lattice cache, which would read True as 1
+        builds = (Sieve.totally_true, Sieve.totally_false, lambda k, mode: Sieve(k, mode, []), lambda k, mode: up_closure(k, mode, []))
+        for mode, build in itertools.product(MODES, builds):
+            with pytest.raises(InputError, match=r"^spectrum size index .* is not an integer$"):
+                build(k, mode)
+
+    @pytest.mark.parametrize("seed", [1, "0|1|2", [0, 1, 2], ((0, 1, 2),), None])
+    def test_up_closure_rejects_seeds_that_are_not_partitions(self, seed):
+        with pytest.raises(InputError, match="not over a 3-element base"):
+            up_closure(3, Mode.WITH_CONSTANTS, [Partition.one_block(3), seed])
 
     def test_up_closure_matches_brute_force(self):
         seed = [Partition.of([[0, 2], [1], [3]])]
